@@ -282,7 +282,7 @@ def apply_threshold_mask(
     their accumulated counts.
     """
     n = gemm.shape[0]
-    mask = ws.get(kernel.uid, "mask", n, gemm.shape, np.bool_)
+    mask = ws.get(kernel.uid, "mask", gemm.shape, np.bool_)
     np.greater_equal(gemm, task.thresholds[kernel.mask.slot], out=mask)
     gemm *= mask
     survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
@@ -437,12 +437,10 @@ def _padded_input(kernel, x: np.ndarray, ws) -> np.ndarray:
     if p == 0:
         if x.flags["C_CONTIGUOUS"]:
             return x
-        contig = ws.get(kernel.uid, "pad", n, (n, h, w, c_in), kernel.weight_t.dtype)
+        contig = ws.get(kernel.uid, "pad", (n, h, w, c_in), kernel.weight_t.dtype)
         np.copyto(contig, x)
         return contig
-    padded = ws.get(
-        kernel.uid, "pad", n, (n, h + 2 * p, w + 2 * p, c_in), kernel.weight_t.dtype
-    )
+    padded = ws.get(kernel.uid, "pad", (n, h + 2 * p, w + 2 * p, c_in), kernel.weight_t.dtype)
     # The border stays zero from allocation time; only the interior is
     # rewritten (same invariant as the default im2col path).
     padded[:, p : p + h, p : p + w, :] = x
@@ -478,8 +476,8 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="b
     panel_bytes = max(1, spi * reduction * dtype.itemsize)
     block = max(1, min(n, (_COLS_BLOCK_BYTES + panel_bytes // 2) // panel_bytes))
 
-    out = ws.get(kernel.uid, "out", n, (n * spi, c_out), dtype)
-    cols = ws.get(kernel.uid, "bcols", block, (block * spi, reduction), dtype)
+    out = ws.get(kernel.uid, "out", (n * spi, c_out), dtype)
+    cols = ws.get(kernel.uid, "bcols", (block * spi, reduction), dtype)
     survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
     need_channels = (
         recorder is not None and getattr(recorder, "record_channels", None) is not None
@@ -488,7 +486,7 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="b
     live_total = 0
     if kernel.mask is not None:
         thresholds = task.thresholds[kernel.mask.slot]
-        mask = ws.get(kernel.uid, "mask", n, (n, spi, c_out), np.bool_)
+        mask = ws.get(kernel.uid, "mask", (n, spi, c_out), np.bool_)
         if need_channels:
             channel_live = np.zeros(c_out, dtype=np.int64)
 
@@ -691,7 +689,7 @@ def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
     if p == 0 and hp == h and wp == w and x.flags["C_CONTIGUOUS"]:
         src = x
     else:
-        src = ws.get(kernel.uid, "wpad", n, (n, hp, wp, c_in), dtype)
+        src = ws.get(kernel.uid, "wpad", (n, hp, wp, c_in), dtype)
         src[:, p : p + h, p : p + w, :] = x
 
     # Block sizing: unlike the column-panel GEMMs, the 16 face GEMMs stream
@@ -704,7 +702,7 @@ def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
     budget = _WINO_BLOCK_BYTES
     block = max(1, min(n, (budget + per_image // 2) // max(1, per_image)))
 
-    out = ws.get(kernel.uid, "out", n, (n * spi, c_out), dtype)
+    out = ws.get(kernel.uid, "out", (n * spi, c_out), dtype)
     out4 = out.reshape(n, h_out, w_out, c_out)
     # Column-parity split of the padded plane: padded column 2k + p lives at
     # ``spl[:, :, p, k]``, so a tile-column tap ``c`` (plane column 2*tx + c)
@@ -712,12 +710,12 @@ def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
     # transform directions then read multi-KB contiguous chunks instead of
     # stride-2 element pairs.
     wt2 = tw + 1
-    spl = ws.get(kernel.uid, "wspl", block, (block, hp, 2, wt2, c_in), dtype)
-    rbuf = ws.get(kernel.uid, "wrow", block, (block, th, 2, wt2, c_in), dtype)
-    vbuf = ws.get(kernel.uid, "wv", block, (16, block * tiles, c_in), dtype)
-    mbuf = ws.get(kernel.uid, "wm", block, (16, block * tiles, c_out), dtype)
-    sbuf = ws.get(kernel.uid, "wsum", block, (2, 4, block * tiles, c_out), dtype)
-    ybuf = ws.get(kernel.uid, "wy", block, (block * tiles, c_out), dtype)
+    spl = ws.get(kernel.uid, "wspl", (block, hp, 2, wt2, c_in), dtype)
+    rbuf = ws.get(kernel.uid, "wrow", (block, th, 2, wt2, c_in), dtype)
+    vbuf = ws.get(kernel.uid, "wv", (16, block * tiles, c_in), dtype)
+    mbuf = ws.get(kernel.uid, "wm", (16, block * tiles, c_out), dtype)
+    sbuf = ws.get(kernel.uid, "wsum", (2, 4, block * tiles, c_out), dtype)
+    ybuf = ws.get(kernel.uid, "wy", (block * tiles, c_out), dtype)
 
     survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
     need_channels = (
@@ -727,7 +725,7 @@ def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
     live_total = 0
     if kernel.mask is not None:
         thresholds = task.thresholds[kernel.mask.slot]
-        mask = ws.get(kernel.uid, "mask", n, (n, spi, c_out), np.bool_)
+        mask = ws.get(kernel.uid, "mask", (n, spi, c_out), np.bool_)
         if need_channels:
             channel_live = np.zeros(c_out, dtype=np.int64)
 
@@ -846,14 +844,14 @@ def run_conv_direct(kernel, x, task, ws, recorder, ctx):
     dtype = kernel.weight_t.dtype
     spi = h_out * w_out
     reduction = kernel.weight_t.shape[0]
-    out = ws.get(kernel.uid, "out", n, (n * spi, c_out), dtype)
+    out = ws.get(kernel.uid, "out", (n * spi, c_out), dtype)
     src = _padded_input(kernel, x, ws)
     if k == 1 and p == 0 and s == 1:
         np.matmul(src.reshape(n * h * w, c_in), kernel.weight_t, out=out)
     else:
         h2, w2 = h + 2 * p, w + 2 * p
         plane = n * h2 * w2
-        tap_out = ws.get(kernel.uid, "tap", n, (plane, c_out), dtype)
+        tap_out = ws.get(kernel.uid, "tap", (plane, c_out), dtype)
         src2d = src.reshape(plane, c_in)
         out4 = out.reshape(n, h_out, w_out, c_out)
         tap4 = tap_out.reshape(n, h2, w2, c_out)
@@ -915,12 +913,12 @@ def _refine_conv_int8(kernel, q, x, cols, out, task, ws, n):
     if img.size == 0:
         return
     if p:
-        fplane = ws.get(kernel.uid, "fpad", n, (n, h + 2 * p, w + 2 * p, c_in), x.dtype)
+        fplane = ws.get(kernel.uid, "fpad", (n, h + 2 * p, w + 2 * p, c_in), x.dtype)
         fplane[:, p : p + h, p : p + w, :] = x
     elif x.flags["C_CONTIGUOUS"]:
         fplane = x
     else:
-        fplane = ws.get(kernel.uid, "fpad", n, (n, h, w, c_in), x.dtype)
+        fplane = ws.get(kernel.uid, "fpad", (n, h, w, c_in), x.dtype)
         np.copyto(fplane, x)
     sn, sh, sw, sc = fplane.strides
     windows = as_strided(
@@ -963,7 +961,7 @@ def run_conv_int8(kernel, x, task, ws, recorder, ctx):
     dtype = kernel.weight_t.dtype
     acc_dtype = q.weight_q.dtype
     h2, w2 = h + 2 * p, w + 2 * p
-    qplane = ws.get(kernel.uid, "qpad", n, (n, h2, w2, c_in), acc_dtype)
+    qplane = ws.get(kernel.uid, "qpad", (n, h2, w2, c_in), acc_dtype)
     interior = qplane[:, p : p + h, p : p + w, :]
     np.divide(x, q.in_scale, out=interior)
     np.rint(interior, out=interior)
@@ -972,14 +970,14 @@ def run_conv_int8(kernel, x, task, ws, recorder, ctx):
     spi = h_out * w_out
     rows = n * spi
     reduction = q.weight_q.shape[0]
-    cols = ws.get(kernel.uid, "qcols", n, (rows, reduction), acc_dtype)
+    cols = ws.get(kernel.uid, "qcols", (rows, reduction), acc_dtype)
     copy_window_strips(cols, qplane, n, h_out, w_out, k, s, c_in)
-    out = ws.get(kernel.uid, "out", n, (rows, c_out), dtype)
+    out = ws.get(kernel.uid, "out", (rows, c_out), dtype)
     if acc_dtype == dtype:
         np.matmul(cols, q.weight_q, out=out)
         np.multiply(out, q.scale, out=out)
     else:
-        wide = ws.get(kernel.uid, "qacc", n, (rows, c_out), acc_dtype)
+        wide = ws.get(kernel.uid, "qacc", (rows, c_out), acc_dtype)
         np.matmul(cols, q.weight_q, out=wide)
         np.multiply(wide, q.scale, out=wide)
         out[:] = wide
@@ -1063,7 +1061,7 @@ def _int8_accumulate(qx: np.ndarray, wqi: np.ndarray, acc: np.ndarray) -> None:
             acc += partial
 
 
-def _int8_dequantize(kernel, q, acc, out, ws, n, label="qacc"):
+def _int8_dequantize(kernel, q, acc, out, ws):
     """Shared dequant epilogue: int32 accumulator → scaled float + bias.
 
     Mirrors the float-container path's operation sequence exactly (same
@@ -1077,7 +1075,7 @@ def _int8_dequantize(kernel, q, acc, out, ws, n, label="qacc"):
         out[:] = acc
         np.multiply(out, q.scale, out=out)
     else:
-        wide = ws.get(kernel.uid, label, n, out.shape, acc_dtype)
+        wide = ws.get(kernel.uid, "qacc", out.shape, acc_dtype)
         wide[:] = acc
         np.multiply(wide, q.scale, out=wide)
         out[:] = wide
@@ -1111,22 +1109,22 @@ def run_conv_int8spd(kernel, x, task, ws, recorder, ctx):
     h2, w2 = h + 2 * p, w + 2 * p
     # Quantize in a float plane (rint needs a float out), then narrow the
     # whole plane to int16 — the layout the integer inner product streams.
-    qplane = ws.get(kernel.uid, "qpad", n, (n, h2, w2, c_in), acc_dtype)
+    qplane = ws.get(kernel.uid, "qpad", (n, h2, w2, c_in), acc_dtype)
     interior = qplane[:, p : p + h, p : p + w, :]
     np.divide(x, q.in_scale, out=interior)
     np.rint(interior, out=interior)
     np.clip(interior, -_QMAX, _QMAX, out=interior)
-    qiplane = ws.get(kernel.uid, "qipad", n, (n, h2, w2, c_in), np.int16)
+    qiplane = ws.get(kernel.uid, "qipad", (n, h2, w2, c_in), np.int16)
     np.copyto(qiplane, qplane, casting="unsafe")
 
     spi = h_out * w_out
     rows = n * spi
-    cols = ws.get(kernel.uid, "qicols", n, (rows, wqi.shape[0]), np.int16)
+    cols = ws.get(kernel.uid, "qicols", (rows, wqi.shape[0]), np.int16)
     copy_window_strips(cols, qiplane, n, h_out, w_out, k, s, c_in)
-    acc = ws.get(kernel.uid, "qiacc", n, (rows, c_out), np.int32)
+    acc = ws.get(kernel.uid, "qiacc", (rows, c_out), np.int32)
     _int8_accumulate(cols, wqi, acc)
-    out = ws.get(kernel.uid, "out", n, (rows, c_out), dtype)
-    _int8_dequantize(kernel, q, acc, out, ws, n)
+    out = ws.get(kernel.uid, "out", (rows, c_out), dtype)
+    _int8_dequantize(kernel, q, acc, out, ws)
 
     if ctx is not None:
         ctx.effective_macs += rows * wqi.shape[0] * c_out
@@ -1187,13 +1185,13 @@ def run_linear_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant=
     n = x.shape[0]
     reduction, width = kernel.weight_t.shape
     dtype = kernel.weight_t.dtype
-    out = ws.get(kernel.uid, "fc", n, (n, width), dtype)
+    out = ws.get(kernel.uid, "fc", (n, width), dtype)
     block = max(1, _COLS_BLOCK_BYTES // max(1, reduction * dtype.itemsize))
     thresholds = task.thresholds[kernel.mask.slot] if kernel.mask is not None else None
     survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
     mask = channel_live = None
     if kernel.mask is not None:
-        mask = ws.get(kernel.uid, "mask", n, (n, width), np.bool_)
+        mask = ws.get(kernel.uid, "mask", (n, width), np.bool_)
         if survival_needed:
             channel_live = np.zeros(width, dtype=np.int64)
     for b0 in range(0, n, block):
@@ -1265,16 +1263,16 @@ def run_linear_int8(kernel, x, task, ws, recorder, ctx):
     reduction, width = q.weight_q.shape
     dtype = kernel.weight_t.dtype
     acc_dtype = q.weight_q.dtype
-    qx = ws.get(kernel.uid, "qin", n, (n, reduction), acc_dtype)
+    qx = ws.get(kernel.uid, "qin", (n, reduction), acc_dtype)
     np.divide(x, q.in_scale, out=qx)
     np.rint(qx, out=qx)
     np.clip(qx, -_QMAX, _QMAX, out=qx)
-    out = ws.get(kernel.uid, "fc", n, (n, width), dtype)
+    out = ws.get(kernel.uid, "fc", (n, width), dtype)
     if acc_dtype == dtype:
         np.matmul(qx, q.weight_q, out=out)
         np.multiply(out, q.scale, out=out)
     else:
-        wide = ws.get(kernel.uid, "qacc", n, (n, width), acc_dtype)
+        wide = ws.get(kernel.uid, "qacc", (n, width), acc_dtype)
         np.matmul(qx, q.weight_q, out=wide)
         np.multiply(wide, q.scale, out=wide)
         out[:] = wide
@@ -1306,16 +1304,16 @@ def run_linear_int8spd(kernel, x, task, ws, recorder, ctx):
     reduction, width = wqi.shape
     dtype = kernel.weight_t.dtype
     acc_dtype = q.weight_q.dtype
-    qf = ws.get(kernel.uid, "qin", n, (n, reduction), acc_dtype)
+    qf = ws.get(kernel.uid, "qin", (n, reduction), acc_dtype)
     np.divide(x, q.in_scale, out=qf)
     np.rint(qf, out=qf)
     np.clip(qf, -_QMAX, _QMAX, out=qf)
-    qx = ws.get(kernel.uid, "qiin", n, (n, reduction), np.int16)
+    qx = ws.get(kernel.uid, "qiin", (n, reduction), np.int16)
     np.copyto(qx, qf, casting="unsafe")
-    acc = ws.get(kernel.uid, "qiacc", n, (n, width), np.int32)
+    acc = ws.get(kernel.uid, "qiacc", (n, width), np.int32)
     _int8_accumulate(qx, wqi, acc)
-    out = ws.get(kernel.uid, "fc", n, (n, width), dtype)
-    _int8_dequantize(kernel, q, acc, out, ws, n)
+    out = ws.get(kernel.uid, "fc", (n, width), dtype)
+    _int8_dequantize(kernel, q, acc, out, ws)
     if ctx is not None:
         ctx.effective_macs += n * reduction * width
         ctx.dense_macs += n * kernel.dense_macs_per_image
@@ -1636,12 +1634,13 @@ def autotune_kernel_variants(
 
     Times the real ``kernel.run`` entry point (epilogue included) on seeded
     synthetic inputs of each kernel's true serving geometry, against a real
-    task plan and a scratch workspace pool, so the measured ordering is the
-    ordering serving will see.  The winning variant is left set on each
-    kernel and the full choice map is stored on ``plan.kernel_choices`` —
-    from where :class:`~repro.engine.planspec.PlanSpec` carries it to
-    spawned workers and :func:`apply_kernel_choices` replays it after
-    re-specialization.
+    task plan, so the measured ordering is the ordering serving will see.
+    Each kernel's variants share one scratch pool that is dropped before the
+    next kernel is timed, so tuning peaks at one kernel's buffers.  The
+    winning variant is left set on each kernel and the full choice map is
+    stored on ``plan.kernel_choices`` — from where
+    :class:`~repro.engine.planspec.PlanSpec` carries it to spawned workers
+    and :func:`apply_kernel_choices` replays it after re-specialization.
 
     Choices are geometry-specific: autotune the plan you intend to serve
     (dense and per-task specialized plans each get their own pass), at the
@@ -1658,7 +1657,6 @@ def autotune_kernel_variants(
         cache = TIMING_CACHE
     task_name = task if task is not None else plan.task_names()[0]
     task_plan = plan.tasks[task_name]
-    pool = plan._workspaces.__class__()
     choices: Dict[str, str] = {}
     for kernel in plan.kernels:
         candidates = variant_candidates(kernel)
@@ -1688,6 +1686,7 @@ def autotune_kernel_variants(
             # matter which other kernels resolved from the cache.
             rng = np.random.default_rng((seed, kernel.index))
             x = np.abs(rng.normal(size=shape)).astype(plan.dtype)
+            pool = plan._workspaces.__class__()
             # Interleave the timing rounds across variants (A B C, A B C,
             # ...) instead of exhausting each variant's repeats back to
             # back: CPU frequency drift then biases every candidate equally,

@@ -23,8 +23,9 @@ The fusions mirror what a deployment compiler would do for this topology:
   features.  Only the entry batch is transposed at run time; no intermediate
   layout round-trips remain.
 * **workspace reuse** — the im2col column matrix, the padded-input buffer and
-  the GEMM output are preallocated per (kernel, batch-size) and reused across
-  calls, so steady-state serving does no large allocations.
+  the GEMM output are allocated once per kernel at the largest batch seen and
+  reused (as prefix views for smaller batches) across calls, so steady-state
+  serving does no large allocations.
 
 Task switching is O(1): a :class:`TaskPlan` is a dictionary entry holding the
 pre-cast thresholds and head, and selecting it binds nothing into the shared
@@ -71,49 +72,49 @@ class MaskSpec:
 
 
 class WorkspacePool:
-    """Reusable scratch buffers keyed by (kernel identity, label, batch size).
+    """Reusable scratch buffers, one per (kernel uid, label, trailing shape, dtype).
 
     A pool belongs to exactly one executing thread at a time: the plan's
     kernels write their im2col columns, padded inputs and GEMM outputs into
-    it.  The plan itself owns one default pool for single-threaded callers;
-    concurrent callers (the serving runtime's workers) each hold their own
-    pool and pass it to :meth:`EnginePlan.run`, which is what makes a single
-    immutable plan safe to execute from N threads at once — all mutable
-    state lives in the pool, everything on the plan is read-only.
+    it.  The plan owns one default pool for single-threaded callers; each
+    serving worker holds its own and passes it to :meth:`EnginePlan.run`,
+    which is what makes one immutable plan safe to run from N threads.
+    Process-unique kernel uids let one pool serve several plans (a dense plan
+    and per-task specialized plans) without same-index kernels colliding.
 
-    Kernels key their buffers by a process-unique kernel uid so one pool can serve several
-    plans (e.g. a worker switching between a dense plan and per-task
-    specialized plans) without two same-index kernels colliding.  ``get``
-    additionally validates shape and dtype: a key whose requested geometry
-    changed gets a fresh zeroed buffer instead of a stale view, so the
-    zero-from-allocation-time invariant (pad borders, dead im2col columns)
-    can never be violated by buffer reuse.
+    The leading extent of a request (the batch, or a multiple of it such as
+    im2col rows) is not part of the key: a buffer is allocated zeroed at the
+    largest leading extent requested so far, and a smaller request gets the
+    prefix view ``buf[:n]``.  A worker that has run every batch size up to 16
+    holds one batch-16 set, not sixteen.  Buffers whose leading axis is not
+    the batch (the Winograd face stacks) carry it in their trailing shape and
+    keep one entry per geometry.  The zero-from-allocation invariants (conv
+    pad borders, exact-mode dead im2col columns, scattered dead channels, the
+    Winograd tile-plane tail) still hold: every leading-axis slab keeps its
+    layout at any request size, positions no request writes stay zero in
+    every slab, and growing a buffer allocates fresh zeros.
 
-    Pools are also **process-local**: buffers cached before a ``fork`` (or
-    carried into a child any other way) are dropped on first use in the child.
-    A parent's cached buffer may be a view over shared memory (the sharded
-    serving runtime's rings), in which case reusing it from the child would
-    write into the parent's live data; and even plain buffers would break the
-    process-unique-uid contract, since the child's freshly-built kernels draw
-    uids from a counter whose history diverged at the fork.
+    Pools are **process-local**: buffers cached before a ``fork`` are dropped
+    on first use in the child.  A parent's buffer may be a view over shared
+    memory (the sharded runtime's rings) that the child must never write, and
+    the child's kernels draw uids from a counter that diverged at the fork.
     """
 
     def __init__(self) -> None:
-        self._buffers: Dict[Tuple[int, str, int], np.ndarray] = {}
+        self._buffers: Dict[Tuple[int, str, Tuple[int, ...], np.dtype], np.ndarray] = {}
         self._pid = os.getpid()
 
-    def get(self, owner: int, label: str, batch: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    def get(self, owner: int, label: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         if self._pid != os.getpid():
             # Inherited across fork/spawn: every cached buffer belongs to the
             # parent process and must never be written from this one.
             self._buffers.clear()
             self._pid = os.getpid()
-        key = (owner, label, batch)
+        key = (owner, label, tuple(shape[1:]), np.dtype(dtype))
         buf = self._buffers.get(key)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
-            buf = np.zeros(shape, dtype=dtype)
-            self._buffers[key] = buf
-        return buf
+        if buf is None or len(buf) < shape[0]:
+            buf = self._buffers[key] = np.zeros(shape, dtype=dtype)
+        return buf if len(buf) == shape[0] else buf[: shape[0]]
 
     def retain(self, owners) -> None:
         """Drop every buffer whose owning kernel uid is not in ``owners``.
@@ -138,9 +139,6 @@ class WorkspacePool:
     def __len__(self) -> int:
         return len(self._buffers)
 
-
-# Backwards-compatible alias (pre-serving-runtime name).
-_Workspaces = WorkspacePool
 
 #: Process-wide kernel identities for WorkspacePool keys.  ``id(kernel)``
 #: would be recycled by the allocator after a plan is garbage collected, and
@@ -344,7 +342,7 @@ class ConvGemmMaskKernel:
         if p > 0:
             # The border stays zero from allocation time; only the interior is
             # rewritten, so padding costs one dense copy and no memset.
-            padded = ws.get(self.uid, "pad", n, (n, h + 2 * p, w + 2 * p, c_in), dtype)
+            padded = ws.get(self.uid, "pad", (n, h + 2 * p, w + 2 * p, c_in), dtype)
             padded[:, p : p + h, p : p + w, :] = x
             src = padded
         else:
@@ -352,7 +350,7 @@ class ConvGemmMaskKernel:
 
         rows = n * h_out * w_out
         reduction = self.weight_t.shape[0]
-        cols = ws.get(self.uid, "cols", n, (rows, reduction), dtype)
+        cols = ws.get(self.uid, "cols", (rows, reduction), dtype)
         cols_view = cols.reshape(n, h_out, w_out, k, k, c_in)
         for ky in range(k):
             for kx in range(k):
@@ -360,7 +358,7 @@ class ConvGemmMaskKernel:
                     :, ky : ky + s * h_out : s, kx : kx + s * w_out : s, :
                 ]
 
-        out = ws.get(self.uid, "out", n, (rows, c_out), dtype)
+        out = ws.get(self.uid, "out", (rows, c_out), dtype)
         dynamic_before = ctx.dynamic_gemms if ctx is not None else 0
         _gemm_with_dynamic_row_gather(self, cols, out, ctx)
         if ctx is not None:
@@ -414,7 +412,7 @@ class MaxPoolKernel:
         # Spatial geometry was fixed at compile time; channels follow the
         # stream (a specialized plan's compacted width arrives via x).
         h_out, w_out = self.out_shape[1], self.out_shape[2]
-        out = ws.get(self.uid, "pool", n, (n, h_out, w_out, c), x.dtype)
+        out = ws.get(self.uid, "pool", (n, h_out, w_out, c), x.dtype)
         if (
             self.variant == "reshape"
             and s == k
@@ -486,7 +484,7 @@ class ChannelScatterKernel:
     def run(self, x: np.ndarray, task: "TaskPlan", ws: WorkspacePool, recorder, ctx=None) -> np.ndarray:
         n = x.shape[0]
         shape = x.shape[:-1] + (self.dense_channels,)
-        out = ws.get(self.uid, "scatter", n, shape, x.dtype)
+        out = ws.get(self.uid, "scatter", shape, x.dtype)
         # The incoming stream carries the live channels first; anything after
         # them is zero padding lanes that must not land in a dense position.
         out[..., self.live_index] = x[..., : self.live_index.shape[0]]
@@ -546,7 +544,7 @@ class LinearMaskKernel:
         ):
             return _kernels.run_linear_variant(self, x, task, ws, recorder, ctx)
         n = x.shape[0]
-        out = ws.get(self.uid, "fc", n, (n, self.weight_t.shape[1]), x.dtype)
+        out = ws.get(self.uid, "fc", (n, self.weight_t.shape[1]), x.dtype)
         # Rows are samples here: the fast path skips samples whose whole
         # feature vector was masked away.
         dynamic_before = ctx.dynamic_gemms if ctx is not None else 0
@@ -828,9 +826,7 @@ class EnginePlan:
         mixed_thresholds: List[Optional[np.ndarray]] = [None] * num_slots
         for spec in self.mask_specs:
             ref = members[unique[0]].thresholds[spec.slot]
-            buf = pool.get(
-                self._mixed_uid, f"mixthr{spec.slot}", n, (n,) + ref.shape[1:], ref.dtype
-            )
+            buf = pool.get(self._mixed_uid, f"mixthr{spec.slot}", (n,) + ref.shape[1:], ref.dtype)
             for name, rows in rows_of.items():
                 src = members[name].thresholds[spec.slot]
                 if src.shape != ref.shape:
@@ -857,7 +853,7 @@ class EnginePlan:
         return logits
 
     def num_workspace_buffers(self) -> int:
-        """How many distinct reusable buffers the plan has allocated so far."""
+        """How many buffers the plan's default pool holds (shared by all batch sizes)."""
         return len(self._workspaces)
 
 

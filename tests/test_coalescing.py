@@ -371,7 +371,7 @@ def test_reachable_pruning_drops_non_leader_specialized_buffers(plan6):
 
     pool = WorkspacePool()
     for uid in full:
-        pool.get(uid, "x", 1, (1, 4), np.float32)
+        pool.get(uid, "x", (1, 4), np.float32)
     pool.retain(live)
     assert len(pool) == len(live)
 

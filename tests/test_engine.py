@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    CONV_VARIANTS,
+    LINEAR_VARIANTS,
+    POOL_VARIANTS,
     MultiTaskEngine,
     SparsityRecorder,
     compile_network,
@@ -191,11 +194,33 @@ def test_workspace_buffers_are_reused_across_calls(network, batch):
     plan.run(batch, "alpha")
     allocated = plan.num_workspace_buffers()
     assert allocated > 0
+    buffers = dict(plan._workspaces._buffers)
     for _ in range(3):
         plan.run(batch, "beta")
     assert plan.num_workspace_buffers() == allocated  # same shapes, same buffers
     plan.run(batch[:2], "alpha")
-    assert plan.num_workspace_buffers() > allocated  # new batch size, new set
+    # A smaller batch runs on prefix views of the same buffers: nothing new.
+    assert plan.num_workspace_buffers() == allocated
+    assert all(plan._workspaces._buffers[key] is buf for key, buf in buffers.items())
+
+
+@pytest.mark.parametrize("variant", ["im2col", "blocked"])
+def test_every_batch_size_costs_what_the_largest_costs(network, variant):
+    """One pool that ran batches 1..16 holds exactly a batch-16 pool's bytes."""
+    from repro.engine import WorkspacePool, force_kernel_variant
+
+    plan = compile_network(network)
+    force_kernel_variant(plan, variant)
+    images = np.random.default_rng(3).normal(size=(16, 3, 16, 16))
+    swept, largest = WorkspacePool(), WorkspacePool()
+    for n in range(1, 17):
+        plan.run(images[:n], "alpha", workspaces=swept)
+    plan.run(images, "alpha", workspaces=largest)
+
+    def footprint(pool):
+        return len(pool), sum(buf.nbytes for buf in pool._buffers.values())
+
+    assert footprint(swept) == footprint(largest)
 
 
 # ------------------------------------------------------------- hardware glue --
@@ -307,44 +332,79 @@ def test_workspace_pool_reallocates_on_shape_or_dtype_change():
     from repro.engine import WorkspacePool
 
     pool = WorkspacePool()
-    first = pool.get(1, "buf", 4, (4, 8), np.float32)
+    first = pool.get(1, "buf", (4, 8), np.float32)
     first[:] = 7.0
-    assert pool.get(1, "buf", 4, (4, 8), np.float32) is first  # steady state: reused
-    # Same key, different geometry: a stale buffer must never be returned —
-    # the zero-from-allocation-time invariant would silently break.
-    resized = pool.get(1, "buf", 4, (4, 16), np.float32)
-    assert resized is not first and resized.shape == (4, 16)
-    assert (resized == 0.0).all()
-    retyped = pool.get(1, "buf", 4, (4, 16), np.float64)
+    assert pool.get(1, "buf", (4, 8), np.float32) is first  # steady state: reused
+    # A smaller leading extent is a prefix view of the same buffer.
+    prefix = pool.get(1, "buf", (2, 8), np.float32)
+    assert prefix.shape == (2, 8) and prefix.base is first
+    # A larger one replaces it with a fresh zeroed buffer; still one entry.
+    grown = pool.get(1, "buf", (6, 8), np.float32)
+    assert grown.shape == (6, 8) and (grown == 0.0).all()
+    assert not np.shares_memory(grown, first) and len(pool) == 1
+    assert pool.get(1, "buf", (4, 8), np.float32).base is grown
+    # Different trailing geometry or dtype: a separate zeroed entry, never a
+    # stale view — the zero-from-allocation-time invariant depends on it.
+    resized = pool.get(1, "buf", (4, 16), np.float32)
+    assert resized.shape == (4, 16) and (resized == 0.0).all()
+    retyped = pool.get(1, "buf", (4, 16), np.float64)
     assert retyped.dtype == np.float64 and (retyped == 0.0).all()
+    assert len(pool) == 3
 
 
-def test_padded_workspace_large_then_small_batch_cannot_leak(network):
+def _pool_reuse_case(network, case, monkeypatch):
+    """(run(images, pool) -> logits) for one lowering or execution path."""
+    from repro.engine import (
+        calibrate_plan, force_kernel_variant, quantize_plan_kernels, specialize_tasks,
+    )
+    from repro.engine import kernels as K
+
+    if case == "mixed":
+        network.add_task("delta", 4, rng=np.random.default_rng(5))  # alpha's head width
+    plan = compile_network(network, dtype=np.float64)
+    if case == "mixed":
+        return lambda x, pool: plan.run_mixed(
+            x, [("alpha", "delta")[i % 2] for i in range(len(x))], workspaces=pool
+        )
+    profile = calibrate_plan(plan, batch_size=8, seed=4)
+    if case == "exact-specialized":
+        spec = specialize_tasks(plan, profile=profile, compact_reduction=False)["alpha"]
+        return lambda x, pool: spec.run(x, "alpha", workspaces=pool)
+    if case in ("int8", "int8spd"):
+        monkeypatch.setattr(K, "_INT8SPD_WINS", True)
+        quantize_plan_kernels(plan, profile, set_variant=False)
+    assert force_kernel_variant(plan, case), f"no kernel accepts '{case}'"
+    return lambda x, pool: plan.run(x, "alpha", workspaces=pool)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*dict.fromkeys(CONV_VARIANTS + LINEAR_VARIANTS + POOL_VARIANTS), "exact-specialized", "mixed"],
+)
+def test_padded_workspace_large_then_small_batch_cannot_leak(network, case, monkeypatch):
     """A big-batch run must not contaminate a later small-batch run.
 
-    The conv pad buffer relies on its border staying zero from allocation
-    time; running a large batch with extreme values and then a smaller batch
-    through the same pool must give exactly the same logits as a fresh pool.
+    Smaller batches run on prefix views of the big batch's buffers, so pad
+    borders, dead im2col columns, scattered dead channels and the Winograd
+    tile-plane tail must stay zero in every slab: running a large batch with
+    extreme values and then a smaller batch through the same pool (and the
+    reverse) must give exactly the same logits as a fresh pool, on every
+    lowering, on an exact-mode specialized plan and on a coalesced batch.
     """
     from repro.engine import WorkspacePool
 
-    plan = compile_network(network, dtype=np.float64)
+    run = _pool_reuse_case(network, case, monkeypatch)
     rng = np.random.default_rng(77)
     big = 1e6 * rng.normal(size=(16, 3, 16, 16))  # extreme values to make leaks loud
-    small = rng.normal(size=(2, 3, 16, 16))
+    small = rng.normal(size=(3, 3, 16, 16))
 
     shared = WorkspacePool()
-    plan.run(big, "alpha", workspaces=shared)
-    reused = plan.run(small, "beta", workspaces=shared)
-    fresh = plan.run(small, "beta", workspaces=WorkspacePool())
-    np.testing.assert_array_equal(reused, fresh)
+    run(big, shared)
+    np.testing.assert_array_equal(run(small, shared), run(small, WorkspacePool()))
     # And the reverse order (small warms the pool, big reuses it).
     shared2 = WorkspacePool()
-    plan.run(small, "beta", workspaces=shared2)
-    np.testing.assert_array_equal(
-        plan.run(big, "alpha", workspaces=shared2),
-        plan.run(big, "alpha", workspaces=WorkspacePool()),
-    )
+    run(small, shared2)
+    np.testing.assert_array_equal(run(big, shared2), run(big, WorkspacePool()))
 
 
 def test_one_pool_safely_serves_dense_and_specialized_plans(network, batch):

@@ -250,12 +250,12 @@ def test_workspace_pool_buffers_are_process_local_after_fork():
     """
     ctx = multiprocessing.get_context("fork")
     pool = WorkspacePool()
-    parent_buffer = pool.get(1, "scratch", 4, (4, 4), np.float64)
+    parent_buffer = pool.get(1, "scratch", (4, 4), np.float64)
     parent_buffer[:] = 7.0
     results = ctx.Queue()
 
     def child() -> None:
-        inherited = pool.get(1, "scratch", 4, (4, 4), np.float64)
+        inherited = pool.get(1, "scratch", (4, 4), np.float64)
         # Fresh and zeroed, not the parent's filled buffer.
         results.put(float(inherited.sum()))
         results.put(len(pool))
@@ -267,5 +267,5 @@ def test_workspace_pool_buffers_are_process_local_after_fork():
     assert results.get(timeout=5.0) == 0.0
     assert results.get(timeout=5.0) == 1  # the child rebuilt exactly one buffer
     # The parent's cache is untouched by the child's reset.
-    assert pool.get(1, "scratch", 4, (4, 4), np.float64) is parent_buffer
+    assert pool.get(1, "scratch", (4, 4), np.float64) is parent_buffer
     np.testing.assert_array_equal(parent_buffer, np.full((4, 4), 7.0))
