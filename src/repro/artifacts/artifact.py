@@ -137,9 +137,9 @@ class ModelArtifact:
     def build_plans(self) -> Tuple[EnginePlan, Dict[str, EnginePlan]]:
         """Reconstruct the executable ``(dense plan, specialized dict)`` pair.
 
-        Rebuilt plans have fresh kernel uids and empty workspace pools (the
-        :class:`~repro.engine.PlanSpec` contract), and produce bit-identical
-        logits to the plans that were captured.
+        Rebuilt plans have fresh kernels sharing no arrays with the source
+        (the :class:`~repro.engine.PlanSpec` contract), and produce
+        bit-identical logits to the plans that were captured.
         """
         plan = self.plan_spec.build()
         specialized = {task: spec.build() for task, spec in self.specialized_specs.items()}

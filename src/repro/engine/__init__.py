@@ -7,11 +7,12 @@ package provides the dedicated inference path:
 
 * :func:`compile_network` snapshots a trained :class:`~repro.mime.MimeNetwork`
   into an immutable :class:`EnginePlan` — BatchNorm folded into the GEMMs,
-  conv → im2col-GEMM → threshold-mask fused into single kernels, workspaces
-  preallocated, per-task thresholds/heads pre-cast and pre-transposed so task
-  switching is an O(1) dictionary lookup.  All mutable execution state lives
-  in a :class:`WorkspacePool`, so one plan can serve N threads at once when
-  each passes its own pool to :meth:`EnginePlan.run`.
+  conv → im2col-GEMM → threshold-mask fused into single kernels, per-task
+  thresholds/heads pre-cast and pre-transposed so task switching is an O(1)
+  dictionary lookup.  All mutable execution state lives in a
+  :class:`WorkspacePool` keyed by buffer lifetime, not by kernel: one pool
+  per thread (the default of :meth:`EnginePlan.run`) serves every plan that
+  thread runs, so one plan can serve N threads at once.
 * :mod:`repro.engine.scheduling` defines the pluggable
   :class:`SchedulingPolicy` hierarchy — ``singular`` and ``pipelined`` (the
   paper's two hardware scenarios) plus the online-oriented ``fifo-deadline``

@@ -32,6 +32,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.engine.kernels import WorkspacePool
+
 
 class ChannelSurvivalRecorder:
     """Recorder that captures per-channel survival counts from masked kernels.
@@ -199,8 +201,9 @@ def calibrate_plan(
     ``images`` maps task name to an NCHW batch; tasks without an entry (or
     all tasks when omitted) get a seeded standard-normal batch of
     ``batch_size`` images, so calibration is reproducible by construction.
-    The pass runs on the plan's own default workspace pool and records
-    nothing into serving statistics.
+    The pass runs on a private workspace pool dropped on return, so the
+    calibration batch's scratch never stays resident in the calling thread's
+    pool, and it records nothing into serving statistics.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -209,12 +212,13 @@ def calibrate_plan(
         raise ValueError("the plan has no tasks to calibrate")
     recorder = ChannelSurvivalRecorder()
     rng = np.random.default_rng(seed)
+    pool = WorkspacePool()
     for name in names:
         if images is not None and name in images:
             batch = np.asarray(images[name])
         else:
             batch = rng.normal(size=(batch_size,) + tuple(plan.input_shape))
-        plan.run(batch, name, recorder=recorder)
+        plan.run(batch, name, recorder=recorder, workspaces=pool)
     return recorder.to_profile()
 
 

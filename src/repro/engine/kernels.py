@@ -100,20 +100,25 @@ shapes did not change — zero re-timing per deploy.
 
 This module deliberately imports nothing from :mod:`repro.engine.plan`
 (``plan.py`` imports *us*); every entry point takes the kernel object and
-duck-types against the attributes all plan kernels carry (``uid``, ``kind``,
-``variant``, geometry, ``mask``, ``dense_macs_per_image``...).
+duck-types against the attributes all plan kernels carry (``kind``,
+``variant``, geometry, ``mask``, ``dense_macs_per_image``...).  The
+:class:`WorkspacePool` every kernel draws its buffers from lives here for
+the same reason.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
+    "WorkspacePool",
     "CONV_VARIANTS",
     "LINEAR_VARIANTS",
     "POOL_VARIANTS",
@@ -202,6 +207,81 @@ _INT8SPD_WINS: Optional[bool] = None
 
 
 # ---------------------------------------------------------------------------
+# Workspace memory, keyed by lifetime.
+# ---------------------------------------------------------------------------
+class WorkspacePool:
+    """Scratch memory of one executing thread, keyed by lifetime, not by kernel.
+
+    A plan is a chain of kernels, so every buffer has one of two lifetimes.
+    **Scratch** — pad planes, im2col/panel columns, masks, the ``tap``,
+    Winograd ``w*`` and int8 ``q*`` temporaries, and a mixed batch's per-row
+    ``mixthr<slot>`` thresholds (which live for the whole run) — gets one
+    growable slab per label, shared by every kernel of every plan: two
+    buffers live in one kernel call always carry different labels, so they
+    never alias.  A kernel **output** dies when the next kernel returns, so
+    outputs alternate between two slabs and :meth:`output` hands each kernel
+    the one that does not hold its input.  The pool therefore holds what one
+    kernel call keeps live, at the largest batch seen, however many kernels,
+    plans or tasks run through it.
+
+    Each slab is sized by the largest request for its label; a request is a
+    view of the slab's leading bytes, cached per (label, shape, dtype) and
+    rebuilt only when the slab grows, so a steady-state :meth:`get` is one
+    dict lookup.  Slabs are shared and start uninitialised, so no kernel may
+    rely on zeros from allocation: pad planes re-zero their border
+    (:func:`zero_border`) and the channel scatter zeroes its dead channels
+    on every call.
+
+    A pool serves one thread at a time; :meth:`EnginePlan.run
+    <repro.engine.plan.EnginePlan.run>` uses a per-thread default pool unless
+    given one.  Pools are **process-local**: slabs cached before a ``fork``
+    are dropped on first use in the child, which must never write memory its
+    parent may still be reading.
+    """
+
+    def __init__(self) -> None:
+        self._slabs: Dict[str, np.ndarray] = {}
+        self._views: Dict[tuple, np.ndarray] = {}
+        self._pid = os.getpid()
+
+    def get(self, label: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        if self._pid != os.getpid():
+            self._slabs, self._views, self._pid = {}, {}, os.getpid()
+        view = self._views.get((label, shape, dtype))
+        if view is None:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            slab = self._slabs.get(label)
+            if slab is None or slab.nbytes < nbytes:
+                slab = self._slabs[label] = np.empty(nbytes, dtype=np.uint8)
+                # Cached views of the old slab would keep it alive.
+                self._views = {key: v for key, v in self._views.items() if key[0] != label}
+            view = slab[:nbytes].view(dtype).reshape(shape)
+            self._views[(label, shape, dtype)] = view
+        return view
+
+    def output(self, x: np.ndarray, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """The output buffer of a kernel whose input is ``x``: never aliases it."""
+        out = self.get("out", shape, dtype)
+        return self.get("out2", shape, dtype) if np.may_share_memory(out, x) else out
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held, summed over every slab."""
+        return sum(slab.nbytes for slab in self._slabs.values())
+
+    def __len__(self) -> int:
+        return len(self._slabs)
+
+
+def zero_border(plane: np.ndarray, p: int, h: int, w: int) -> None:
+    """Zero every pixel of an NHWC ``plane`` outside ``[p:p+h, p:p+w]``."""
+    plane[:, :p] = 0
+    plane[:, p + h :] = 0
+    plane[:, p : p + h, :p] = 0
+    plane[:, p : p + h, p + w :] = 0
+
+
+# ---------------------------------------------------------------------------
 # Row-stable GEMM: one reduction order for every batch size.
 # ---------------------------------------------------------------------------
 #: Minimum row count at which BLAS runs its standard sgemm path.  Below this,
@@ -282,7 +362,7 @@ def apply_threshold_mask(
     their accumulated counts.
     """
     n = gemm.shape[0]
-    mask = ws.get(kernel.uid, "mask", gemm.shape, np.bool_)
+    mask = ws.get("mask", gemm.shape, np.bool_)
     np.greater_equal(gemm, task.thresholds[kernel.mask.slot], out=mask)
     gemm *= mask
     survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
@@ -428,8 +508,8 @@ def _padded_input(kernel, x: np.ndarray, ws) -> np.ndarray:
     """The conv source plane: the zero-bordered pad buffer, or ``x`` itself.
 
     Both the p>0 pad plane and the p==0 contiguity fallback live in the
-    :class:`~repro.engine.plan.WorkspacePool` — steady-state serving
-    allocates nothing here, whatever layout the upstream kernel produced.
+    :class:`WorkspacePool` — steady-state serving allocates nothing here,
+    whatever layout the upstream kernel produced.
     """
     p = kernel.padding
     n = x.shape[0]
@@ -437,12 +517,13 @@ def _padded_input(kernel, x: np.ndarray, ws) -> np.ndarray:
     if p == 0:
         if x.flags["C_CONTIGUOUS"]:
             return x
-        contig = ws.get(kernel.uid, "pad", (n, h, w, c_in), kernel.weight_t.dtype)
+        contig = ws.get("pad", (n, h, w, c_in), kernel.weight_t.dtype)
         np.copyto(contig, x)
         return contig
-    padded = ws.get(kernel.uid, "pad", (n, h + 2 * p, w + 2 * p, c_in), kernel.weight_t.dtype)
-    # The border stays zero from allocation time; only the interior is
-    # rewritten (same invariant as the default im2col path).
+    padded = ws.get("pad", (n, h + 2 * p, w + 2 * p, c_in), kernel.weight_t.dtype)
+    # The slab is shared, so the border is re-zeroed (four thin slices)
+    # before the interior is copied in; no full memset.
+    zero_border(padded, p, h, w)
     padded[:, p : p + h, p : p + w, :] = x
     return padded
 
@@ -476,8 +557,8 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="b
     panel_bytes = max(1, spi * reduction * dtype.itemsize)
     block = max(1, min(n, (_COLS_BLOCK_BYTES + panel_bytes // 2) // panel_bytes))
 
-    out = ws.get(kernel.uid, "out", (n * spi, c_out), dtype)
-    cols = ws.get(kernel.uid, "bcols", (block * spi, reduction), dtype)
+    out = ws.output(x, (n * spi, c_out), dtype)
+    cols = ws.get("bcols", (block * spi, reduction), dtype)
     survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
     need_channels = (
         recorder is not None and getattr(recorder, "record_channels", None) is not None
@@ -486,7 +567,7 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="b
     live_total = 0
     if kernel.mask is not None:
         thresholds = task.thresholds[kernel.mask.slot]
-        mask = ws.get(kernel.uid, "mask", (n, spi, c_out), np.bool_)
+        mask = ws.get("mask", (n, spi, c_out), np.bool_)
         if need_channels:
             channel_live = np.zeros(c_out, dtype=np.int64)
 
@@ -689,7 +770,8 @@ def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
     if p == 0 and hp == h and wp == w and x.flags["C_CONTIGUOUS"]:
         src = x
     else:
-        src = ws.get(kernel.uid, "wpad", (n, hp, wp, c_in), dtype)
+        src = ws.get("wpad", (n, hp, wp, c_in), dtype)
+        zero_border(src, p, h, w)
         src[:, p : p + h, p : p + w, :] = x
 
     # Block sizing: unlike the column-panel GEMMs, the 16 face GEMMs stream
@@ -702,7 +784,7 @@ def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
     budget = _WINO_BLOCK_BYTES
     block = max(1, min(n, (budget + per_image // 2) // max(1, per_image)))
 
-    out = ws.get(kernel.uid, "out", (n * spi, c_out), dtype)
+    out = ws.output(x, (n * spi, c_out), dtype)
     out4 = out.reshape(n, h_out, w_out, c_out)
     # Column-parity split of the padded plane: padded column 2k + p lives at
     # ``spl[:, :, p, k]``, so a tile-column tap ``c`` (plane column 2*tx + c)
@@ -710,12 +792,12 @@ def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
     # transform directions then read multi-KB contiguous chunks instead of
     # stride-2 element pairs.
     wt2 = tw + 1
-    spl = ws.get(kernel.uid, "wspl", (block, hp, 2, wt2, c_in), dtype)
-    rbuf = ws.get(kernel.uid, "wrow", (block, th, 2, wt2, c_in), dtype)
-    vbuf = ws.get(kernel.uid, "wv", (16, block * tiles, c_in), dtype)
-    mbuf = ws.get(kernel.uid, "wm", (16, block * tiles, c_out), dtype)
-    sbuf = ws.get(kernel.uid, "wsum", (2, 4, block * tiles, c_out), dtype)
-    ybuf = ws.get(kernel.uid, "wy", (block * tiles, c_out), dtype)
+    spl = ws.get("wspl", (block, hp, 2, wt2, c_in), dtype)
+    rbuf = ws.get("wrow", (block, th, 2, wt2, c_in), dtype)
+    vbuf = ws.get("wv", (16, block * tiles, c_in), dtype)
+    mbuf = ws.get("wm", (16, block * tiles, c_out), dtype)
+    sbuf = ws.get("wsum", (2, 4, block * tiles, c_out), dtype)
+    ybuf = ws.get("wy", (block * tiles, c_out), dtype)
 
     survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
     need_channels = (
@@ -725,7 +807,7 @@ def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
     live_total = 0
     if kernel.mask is not None:
         thresholds = task.thresholds[kernel.mask.slot]
-        mask = ws.get(kernel.uid, "mask", (n, spi, c_out), np.bool_)
+        mask = ws.get("mask", (n, spi, c_out), np.bool_)
         if need_channels:
             channel_live = np.zeros(c_out, dtype=np.int64)
 
@@ -844,14 +926,14 @@ def run_conv_direct(kernel, x, task, ws, recorder, ctx):
     dtype = kernel.weight_t.dtype
     spi = h_out * w_out
     reduction = kernel.weight_t.shape[0]
-    out = ws.get(kernel.uid, "out", (n * spi, c_out), dtype)
+    out = ws.output(x, (n * spi, c_out), dtype)
     src = _padded_input(kernel, x, ws)
     if k == 1 and p == 0 and s == 1:
         np.matmul(src.reshape(n * h * w, c_in), kernel.weight_t, out=out)
     else:
         h2, w2 = h + 2 * p, w + 2 * p
         plane = n * h2 * w2
-        tap_out = ws.get(kernel.uid, "tap", (plane, c_out), dtype)
+        tap_out = ws.get("tap", (plane, c_out), dtype)
         src2d = src.reshape(plane, c_in)
         out4 = out.reshape(n, h_out, w_out, c_out)
         tap4 = tap_out.reshape(n, h2, w2, c_out)
@@ -913,12 +995,13 @@ def _refine_conv_int8(kernel, q, x, cols, out, task, ws, n):
     if img.size == 0:
         return
     if p:
-        fplane = ws.get(kernel.uid, "fpad", (n, h + 2 * p, w + 2 * p, c_in), x.dtype)
+        fplane = ws.get("fpad", (n, h + 2 * p, w + 2 * p, c_in), x.dtype)
+        zero_border(fplane, p, h, w)
         fplane[:, p : p + h, p : p + w, :] = x
     elif x.flags["C_CONTIGUOUS"]:
         fplane = x
     else:
-        fplane = ws.get(kernel.uid, "fpad", (n, h, w, c_in), x.dtype)
+        fplane = ws.get("fpad", (n, h, w, c_in), x.dtype)
         np.copyto(fplane, x)
     sn, sh, sw, sc = fplane.strides
     windows = as_strided(
@@ -941,8 +1024,8 @@ def _refine_conv_int8(kernel, q, x, cols, out, task, ws, n):
 def run_conv_int8(kernel, x, task, ws, recorder, ctx):
     """Symmetric int8 convolution: quantize → exact integer GEMM → dequantize.
 
-    The padded plane is quantized in place (zero borders map to exactly 0,
-    so the zero-from-allocation invariant survives quantization), the panel
+    The padded plane's interior is quantized in place around a re-zeroed
+    border (0 quantizes to exactly 0), the panel
     is strip-copied like the blocked path, and the epilogue dequantizes with
     the fused ``in_scale * w_scale[c]`` factors, adds the float bias,
     refines near-threshold slots (:func:`_refine_conv_int8`) and masks.
@@ -961,7 +1044,8 @@ def run_conv_int8(kernel, x, task, ws, recorder, ctx):
     dtype = kernel.weight_t.dtype
     acc_dtype = q.weight_q.dtype
     h2, w2 = h + 2 * p, w + 2 * p
-    qplane = ws.get(kernel.uid, "qpad", (n, h2, w2, c_in), acc_dtype)
+    qplane = ws.get("qpad", (n, h2, w2, c_in), acc_dtype)
+    zero_border(qplane, p, h, w)
     interior = qplane[:, p : p + h, p : p + w, :]
     np.divide(x, q.in_scale, out=interior)
     np.rint(interior, out=interior)
@@ -970,14 +1054,14 @@ def run_conv_int8(kernel, x, task, ws, recorder, ctx):
     spi = h_out * w_out
     rows = n * spi
     reduction = q.weight_q.shape[0]
-    cols = ws.get(kernel.uid, "qcols", (rows, reduction), acc_dtype)
+    cols = ws.get("qcols", (rows, reduction), acc_dtype)
     copy_window_strips(cols, qplane, n, h_out, w_out, k, s, c_in)
-    out = ws.get(kernel.uid, "out", (rows, c_out), dtype)
+    out = ws.output(x, (rows, c_out), dtype)
     if acc_dtype == dtype:
         np.matmul(cols, q.weight_q, out=out)
         np.multiply(out, q.scale, out=out)
     else:
-        wide = ws.get(kernel.uid, "qacc", (rows, c_out), acc_dtype)
+        wide = ws.get("qacc", (rows, c_out), acc_dtype)
         np.matmul(cols, q.weight_q, out=wide)
         np.multiply(wide, q.scale, out=wide)
         out[:] = wide
@@ -1075,7 +1159,7 @@ def _int8_dequantize(kernel, q, acc, out, ws):
         out[:] = acc
         np.multiply(out, q.scale, out=out)
     else:
-        wide = ws.get(kernel.uid, "qacc", out.shape, acc_dtype)
+        wide = ws.get("qacc", out.shape, acc_dtype)
         wide[:] = acc
         np.multiply(wide, q.scale, out=wide)
         out[:] = wide
@@ -1109,21 +1193,22 @@ def run_conv_int8spd(kernel, x, task, ws, recorder, ctx):
     h2, w2 = h + 2 * p, w + 2 * p
     # Quantize in a float plane (rint needs a float out), then narrow the
     # whole plane to int16 — the layout the integer inner product streams.
-    qplane = ws.get(kernel.uid, "qpad", (n, h2, w2, c_in), acc_dtype)
+    qplane = ws.get("qpad", (n, h2, w2, c_in), acc_dtype)
+    zero_border(qplane, p, h, w)
     interior = qplane[:, p : p + h, p : p + w, :]
     np.divide(x, q.in_scale, out=interior)
     np.rint(interior, out=interior)
     np.clip(interior, -_QMAX, _QMAX, out=interior)
-    qiplane = ws.get(kernel.uid, "qipad", (n, h2, w2, c_in), np.int16)
+    qiplane = ws.get("qipad", (n, h2, w2, c_in), np.int16)
     np.copyto(qiplane, qplane, casting="unsafe")
 
     spi = h_out * w_out
     rows = n * spi
-    cols = ws.get(kernel.uid, "qicols", (rows, wqi.shape[0]), np.int16)
+    cols = ws.get("qicols", (rows, wqi.shape[0]), np.int16)
     copy_window_strips(cols, qiplane, n, h_out, w_out, k, s, c_in)
-    acc = ws.get(kernel.uid, "qiacc", (rows, c_out), np.int32)
+    acc = ws.get("qiacc", (rows, c_out), np.int32)
     _int8_accumulate(cols, wqi, acc)
-    out = ws.get(kernel.uid, "out", (rows, c_out), dtype)
+    out = ws.output(x, (rows, c_out), dtype)
     _int8_dequantize(kernel, q, acc, out, ws)
 
     if ctx is not None:
@@ -1185,13 +1270,13 @@ def run_linear_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant=
     n = x.shape[0]
     reduction, width = kernel.weight_t.shape
     dtype = kernel.weight_t.dtype
-    out = ws.get(kernel.uid, "fc", (n, width), dtype)
+    out = ws.output(x, (n, width), dtype)
     block = max(1, _COLS_BLOCK_BYTES // max(1, reduction * dtype.itemsize))
     thresholds = task.thresholds[kernel.mask.slot] if kernel.mask is not None else None
     survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
     mask = channel_live = None
     if kernel.mask is not None:
-        mask = ws.get(kernel.uid, "mask", (n, width), np.bool_)
+        mask = ws.get("mask", (n, width), np.bool_)
         if survival_needed:
             channel_live = np.zeros(width, dtype=np.int64)
     for b0 in range(0, n, block):
@@ -1263,16 +1348,16 @@ def run_linear_int8(kernel, x, task, ws, recorder, ctx):
     reduction, width = q.weight_q.shape
     dtype = kernel.weight_t.dtype
     acc_dtype = q.weight_q.dtype
-    qx = ws.get(kernel.uid, "qin", (n, reduction), acc_dtype)
+    qx = ws.get("qin", (n, reduction), acc_dtype)
     np.divide(x, q.in_scale, out=qx)
     np.rint(qx, out=qx)
     np.clip(qx, -_QMAX, _QMAX, out=qx)
-    out = ws.get(kernel.uid, "fc", (n, width), dtype)
+    out = ws.output(x, (n, width), dtype)
     if acc_dtype == dtype:
         np.matmul(qx, q.weight_q, out=out)
         np.multiply(out, q.scale, out=out)
     else:
-        wide = ws.get(kernel.uid, "qacc", (n, width), acc_dtype)
+        wide = ws.get("qacc", (n, width), acc_dtype)
         np.matmul(qx, q.weight_q, out=wide)
         np.multiply(wide, q.scale, out=wide)
         out[:] = wide
@@ -1304,15 +1389,15 @@ def run_linear_int8spd(kernel, x, task, ws, recorder, ctx):
     reduction, width = wqi.shape
     dtype = kernel.weight_t.dtype
     acc_dtype = q.weight_q.dtype
-    qf = ws.get(kernel.uid, "qin", (n, reduction), acc_dtype)
+    qf = ws.get("qin", (n, reduction), acc_dtype)
     np.divide(x, q.in_scale, out=qf)
     np.rint(qf, out=qf)
     np.clip(qf, -_QMAX, _QMAX, out=qf)
-    qx = ws.get(kernel.uid, "qiin", (n, reduction), np.int16)
+    qx = ws.get("qiin", (n, reduction), np.int16)
     np.copyto(qx, qf, casting="unsafe")
-    acc = ws.get(kernel.uid, "qiacc", (n, width), np.int32)
+    acc = ws.get("qiacc", (n, width), np.int32)
     _int8_accumulate(qx, wqi, acc)
-    out = ws.get(kernel.uid, "fc", (n, width), dtype)
+    out = ws.output(x, (n, width), dtype)
     _int8_dequantize(kernel, q, acc, out, ws)
     if ctx is not None:
         ctx.effective_macs += n * reduction * width
@@ -1635,8 +1720,9 @@ def autotune_kernel_variants(
     Times the real ``kernel.run`` entry point (epilogue included) on seeded
     synthetic inputs of each kernel's true serving geometry, against a real
     task plan, so the measured ordering is the ordering serving will see.
-    Each kernel's variants share one scratch pool that is dropped before the
-    next kernel is timed, so tuning peaks at one kernel's buffers.  The
+    Each kernel's variants share one private scratch pool that is dropped
+    before the next kernel is timed, so tuning peaks at one kernel's buffers
+    and leaves the serving thread's pool untouched.  The
     winning variant is left set on each kernel and the full choice map is
     stored on ``plan.kernel_choices`` — from where
     :class:`~repro.engine.planspec.PlanSpec` carries it to spawned workers
@@ -1686,7 +1772,7 @@ def autotune_kernel_variants(
             # matter which other kernels resolved from the cache.
             rng = np.random.default_rng((seed, kernel.index))
             x = np.abs(rng.normal(size=shape)).astype(plan.dtype)
-            pool = plan._workspaces.__class__()
+            pool = WorkspacePool()
             # Interleave the timing rounds across variants (A B C, A B C,
             # ...) instead of exhausting each variant's repeats back to
             # back: CPU frequency drift then biases every candidate equally,

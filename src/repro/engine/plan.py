@@ -23,9 +23,10 @@ The fusions mirror what a deployment compiler would do for this topology:
   features.  Only the entry batch is transposed at run time; no intermediate
   layout round-trips remain.
 * **workspace reuse** — the im2col column matrix, the padded-input buffer and
-  the GEMM output are allocated once per kernel at the largest batch seen and
-  reused (as prefix views for smaller batches) across calls, so steady-state
-  serving does no large allocations.
+  the GEMM output live in per-thread slabs keyed by lifetime, sized by the
+  largest batch seen and shared by every kernel of every plan (see
+  :class:`WorkspacePool`), so steady-state serving does no large
+  allocations.
 
 Task switching is O(1): a :class:`TaskPlan` is a dictionary entry holding the
 pre-cast thresholds and head, and selecting it binds nothing into the shared
@@ -34,8 +35,7 @@ kernels.
 
 from __future__ import annotations
 
-import itertools
-import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,81 +71,19 @@ class MaskSpec:
     gemm_shape: Tuple[int, ...]
 
 
-class WorkspacePool:
-    """Reusable scratch buffers, one per (kernel uid, label, trailing shape, dtype).
+#: Scratch memory lives next to its users in :mod:`repro.engine.kernels`;
+#: re-exported here for callers of :meth:`EnginePlan.run`.
+WorkspacePool = _kernels.WorkspacePool
 
-    A pool belongs to exactly one executing thread at a time: the plan's
-    kernels write their im2col columns, padded inputs and GEMM outputs into
-    it.  The plan owns one default pool for single-threaded callers; each
-    serving worker holds its own and passes it to :meth:`EnginePlan.run`,
-    which is what makes one immutable plan safe to run from N threads.
-    Process-unique kernel uids let one pool serve several plans (a dense plan
-    and per-task specialized plans) without same-index kernels colliding.
-
-    The leading extent of a request (the batch, or a multiple of it such as
-    im2col rows) is not part of the key: a buffer is allocated zeroed at the
-    largest leading extent requested so far, and a smaller request gets the
-    prefix view ``buf[:n]``.  A worker that has run every batch size up to 16
-    holds one batch-16 set, not sixteen.  Buffers whose leading axis is not
-    the batch (the Winograd face stacks) carry it in their trailing shape and
-    keep one entry per geometry.  The zero-from-allocation invariants (conv
-    pad borders, exact-mode dead im2col columns, scattered dead channels, the
-    Winograd tile-plane tail) still hold: every leading-axis slab keeps its
-    layout at any request size, positions no request writes stay zero in
-    every slab, and growing a buffer allocates fresh zeros.
-
-    Pools are **process-local**: buffers cached before a ``fork`` are dropped
-    on first use in the child.  A parent's buffer may be a view over shared
-    memory (the sharded runtime's rings) that the child must never write, and
-    the child's kernels draw uids from a counter that diverged at the fork.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[Tuple[int, str, Tuple[int, ...], np.dtype], np.ndarray] = {}
-        self._pid = os.getpid()
-
-    def get(self, owner: int, label: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        if self._pid != os.getpid():
-            # Inherited across fork/spawn: every cached buffer belongs to the
-            # parent process and must never be written from this one.
-            self._buffers.clear()
-            self._pid = os.getpid()
-        key = (owner, label, tuple(shape[1:]), np.dtype(dtype))
-        buf = self._buffers.get(key)
-        if buf is None or len(buf) < shape[0]:
-            buf = self._buffers[key] = np.zeros(shape, dtype=dtype)
-        return buf if len(buf) == shape[0] else buf[: shape[0]]
-
-    def retain(self, owners) -> None:
-        """Drop every buffer whose owning kernel uid is not in ``owners``.
-
-        The hot-swap control plane calls this after replacing a runtime's
-        plans: the old plans' kernels (and their uids) are gone, so their
-        buffers would otherwise accumulate forever across swaps.  Safe to
-        call while another thread executes over this pool — the dict is
-        rebuilt and swapped in one assignment, and a concurrently-running
-        kernel that loses a buffer mid-batch simply gets a fresh zeroed one
-        on its next ``get`` (fresh zeroed buffers are always valid: the
-        pad-border and scatter kernels rely only on zero-from-allocation).
-        """
-        owners = set(owners)
-        # Iterate a snapshot: a concurrent get() may insert mid-rebuild, and
-        # iterating the live dict would raise.  An insert that races the
-        # reassignment is simply recreated on the owner's next get().
-        self._buffers = {
-            key: buf for key, buf in list(self._buffers.items()) if key[0] in owners
-        }
-
-    def __len__(self) -> int:
-        return len(self._buffers)
+_THREAD_POOLS = threading.local()
 
 
-#: Process-wide kernel identities for WorkspacePool keys.  ``id(kernel)``
-#: would be recycled by the allocator after a plan is garbage collected, and
-#: a recycled key with matching geometry would hand a *stale* buffer to a new
-#: kernel — breaking the zero-from-allocation-time invariant the pad borders
-#: and scatter kernels rely on.  A monotonic counter can never collide.
-_KERNEL_UIDS = itertools.count()
+def thread_workspaces() -> WorkspacePool:
+    """The calling thread's default pool, shared by every plan it runs."""
+    pool = getattr(_THREAD_POOLS, "pool", None)
+    if pool is None:
+        pool = _THREAD_POOLS.pool = WorkspacePool()
+    return pool
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +228,6 @@ class ConvGemmMaskKernel:
         dense_channels: Optional[int] = None,
     ) -> None:
         self.index = index
-        self.uid = next(_KERNEL_UIDS)
         self.name = name
         self.weight_t = weight_t
         self.bias = bias
@@ -334,23 +271,15 @@ class ConvGemmMaskKernel:
         ):
             return _kernels.run_conv_variant(self, x, task, ws, recorder, ctx)
         n = x.shape[0]
-        c_in, h, w = self.in_shape
+        c_in = self.in_shape[0]
         c_out, h_out, w_out = self.out_shape
-        k, s, p = self.kernel_size, self.stride, self.padding
+        k, s = self.kernel_size, self.stride
         dtype = self.weight_t.dtype
 
-        if p > 0:
-            # The border stays zero from allocation time; only the interior is
-            # rewritten, so padding costs one dense copy and no memset.
-            padded = ws.get(self.uid, "pad", (n, h + 2 * p, w + 2 * p, c_in), dtype)
-            padded[:, p : p + h, p : p + w, :] = x
-            src = padded
-        else:
-            src = x
-
+        src = _kernels._padded_input(self, x, ws)
         rows = n * h_out * w_out
         reduction = self.weight_t.shape[0]
-        cols = ws.get(self.uid, "cols", (rows, reduction), dtype)
+        cols = ws.get("cols", (rows, reduction), dtype)
         cols_view = cols.reshape(n, h_out, w_out, k, k, c_in)
         for ky in range(k):
             for kx in range(k):
@@ -358,7 +287,7 @@ class ConvGemmMaskKernel:
                     :, ky : ky + s * h_out : s, kx : kx + s * w_out : s, :
                 ]
 
-        out = ws.get(self.uid, "out", (rows, c_out), dtype)
+        out = ws.output(x, (rows, c_out), dtype)
         dynamic_before = ctx.dynamic_gemms if ctx is not None else 0
         _gemm_with_dynamic_row_gather(self, cols, out, ctx)
         if ctx is not None:
@@ -399,7 +328,6 @@ class MaxPoolKernel:
         name: Optional[str] = None,
     ) -> None:
         self.index = index
-        self.uid = next(_KERNEL_UIDS)
         self.name = name if name is not None else f"pool{index}"
         self.kernel_size = kernel_size
         self.stride = stride
@@ -412,7 +340,7 @@ class MaxPoolKernel:
         # Spatial geometry was fixed at compile time; channels follow the
         # stream (a specialized plan's compacted width arrives via x).
         h_out, w_out = self.out_shape[1], self.out_shape[2]
-        out = ws.get(self.uid, "pool", (n, h_out, w_out, c), x.dtype)
+        out = ws.output(x, (n, h_out, w_out, c), x.dtype)
         if (
             self.variant == "reshape"
             and s == k
@@ -450,7 +378,6 @@ class FlattenKernel:
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.uid = next(_KERNEL_UIDS)
 
     def run(self, x: np.ndarray, task: "TaskPlan", ws: WorkspacePool, recorder, ctx=None) -> np.ndarray:
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
@@ -463,11 +390,10 @@ class ChannelScatterKernel:
     Before a consumer whose weights are laid out for the dense channel order
     (the next convolution's im2col, the flatten boundary, the FC head), this
     kernel writes the live channels into their original positions of a dense
-    workspace buffer.  Dead positions are **never written**: they stay zero
-    from allocation time (the same invariant as the conv pad border), and
-    since the dense plan's dead channels are exactly zero after masking, the
-    consumer sees bit-identical inputs while the producer GEMM did only the
-    live columns' work.
+    output buffer and zeroes the dead positions (``dead_index``, the
+    complement computed at build time).  Since the dense plan's dead channels
+    are exactly zero after masking, the consumer sees bit-identical inputs
+    while the producer GEMM did only the live columns' work.
 
     Works on any channels-last layout — NHWC feature maps and flat ``(N, F)``
     feature vectors alike; only the trailing axis is scattered.
@@ -477,17 +403,18 @@ class ChannelScatterKernel:
 
     def __init__(self, index: int, live_index: np.ndarray, dense_channels: int) -> None:
         self.index = index
-        self.uid = next(_KERNEL_UIDS)
         self.live_index = np.ascontiguousarray(live_index, dtype=np.intp)
         self.dense_channels = int(dense_channels)
+        self.dead_index = np.setdiff1d(
+            np.arange(self.dense_channels, dtype=np.intp), self.live_index
+        )
 
     def run(self, x: np.ndarray, task: "TaskPlan", ws: WorkspacePool, recorder, ctx=None) -> np.ndarray:
-        n = x.shape[0]
-        shape = x.shape[:-1] + (self.dense_channels,)
-        out = ws.get(self.uid, "scatter", shape, x.dtype)
+        out = ws.output(x, x.shape[:-1] + (self.dense_channels,), x.dtype)
         # The incoming stream carries the live channels first; anything after
         # them is zero padding lanes that must not land in a dense position.
         out[..., self.live_index] = x[..., : self.live_index.shape[0]]
+        out[..., self.dead_index] = 0
         return out
 
 
@@ -516,7 +443,6 @@ class LinearMaskKernel:
         dense_channels: Optional[int] = None,
     ) -> None:
         self.index = index
-        self.uid = next(_KERNEL_UIDS)
         self.name = name
         self.weight_t = weight_t
         self.bias = bias
@@ -544,7 +470,7 @@ class LinearMaskKernel:
         ):
             return _kernels.run_linear_variant(self, x, task, ws, recorder, ctx)
         n = x.shape[0]
-        out = ws.get(self.uid, "fc", (n, self.weight_t.shape[1]), x.dtype)
+        out = ws.output(x, (n, self.weight_t.shape[1]), x.dtype)
         # Rows are samples here: the fast path skips samples whose whole
         # feature vector was masked away.
         dynamic_before = ctx.dynamic_gemms if ctx is not None else 0
@@ -671,13 +597,6 @@ class EnginePlan:
     #: through :class:`~repro.engine.planspec.PlanSpec` so spawned workers
     #: rebuild identical choices.  None = every kernel on its default.
     kernel_choices: Optional[Dict[str, str]] = None
-    _workspaces: WorkspacePool = field(default_factory=WorkspacePool, repr=False)
-    #: Workspace-owner uid for the per-row threshold buffers of mixed-task
-    #: batches (:meth:`run_mixed`).  Allocated eagerly like kernel uids so
-    #: concurrent workers never race a lazy assignment; ``dataclasses.replace``
-    #: keeps it, which is correct — the kernels (and so the pools) are shared
-    #: between the replaced snapshots too.
-    _mixed_uid: int = field(default_factory=lambda: next(_KERNEL_UIDS), repr=False)
 
     def task_names(self) -> List[str]:
         return list(self.tasks)
@@ -704,17 +623,19 @@ class EnginePlan:
         Accepts NCHW input (the training model's convention); internally the
         plan runs channels-last.  Returns freshly-allocated logits of shape
         ``(N, num_classes)``; all intermediate buffers live in ``workspaces``
-        (the plan's own default pool when omitted) and are reused across
-        calls.
+        and are reused across calls.  Omit it and the calling thread's
+        default pool serves (one per thread, shared by every plan the
+        thread runs).
 
         ``ctx`` carries the dynamic-sparse configuration and accumulates the
         dense/effective MAC counts of this call; omit it and the plan builds a
         throwaway context from its own :attr:`dynamic` config.
 
-        The plan itself is immutable after compilation, so concurrent threads
-        may run different micro-batches over the same plan as long as each
-        passes its **own** :class:`WorkspacePool` — the GEMMs release the GIL,
-        which is what the serving runtime's thread-parallel workers exploit.
+        The plan itself is immutable after compilation and the default pool
+        is per thread, so concurrent threads may run different micro-batches
+        over the same plan — the GEMMs release the GIL, which is what the
+        serving runtime's thread-parallel workers exploit.  A pool passed
+        explicitly must not be shared by two threads at once.
         """
         if task not in self.tasks:
             raise KeyError(f"task '{task}' was not compiled; known: {self.task_names()}")
@@ -740,7 +661,7 @@ class EnginePlan:
             raise ValueError(
                 f"expected input of per-sample shape {self.input_shape}, got {x.shape[1:]}"
             )
-        pool = workspaces if workspaces is not None else self._workspaces
+        pool = workspaces if workspaces is not None else thread_workspaces()
         if ctx is None:
             ctx = RunContext(self.dynamic)
         ctx.prev_sparsity = 0.0  # the raw image batch is dense
@@ -812,7 +733,7 @@ class EnginePlan:
             raise CompileError(
                 f"mixed-task batch requires equal head widths, got {sorted(widths)}"
             )
-        pool = workspaces if workspaces is not None else self._workspaces
+        pool = workspaces if workspaces is not None else thread_workspaces()
         if ctx is None:
             ctx = RunContext(self.dynamic)
         ctx.prev_sparsity = 0.0
@@ -826,7 +747,7 @@ class EnginePlan:
         mixed_thresholds: List[Optional[np.ndarray]] = [None] * num_slots
         for spec in self.mask_specs:
             ref = members[unique[0]].thresholds[spec.slot]
-            buf = pool.get(self._mixed_uid, f"mixthr{spec.slot}", (n,) + ref.shape[1:], ref.dtype)
+            buf = pool.get(f"mixthr{spec.slot}", (n,) + ref.shape[1:], ref.dtype)
             for name, rows in rows_of.items():
                 src = members[name].thresholds[spec.slot]
                 if src.shape != ref.shape:
@@ -851,10 +772,6 @@ class EnginePlan:
             ctx.effective_macs += len(rows) * head_macs
             ctx.dense_macs += len(rows) * (tp.head_dense_macs or head_macs)
         return logits
-
-    def num_workspace_buffers(self) -> int:
-        """How many buffers the plan's default pool holds (shared by all batch sizes)."""
-        return len(self._workspaces)
 
 
 # ---------------------------------------------------------------------------

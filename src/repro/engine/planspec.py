@@ -1,19 +1,17 @@
 """Picklable serialization of compiled engine plans.
 
 A live :class:`~repro.engine.plan.EnginePlan` is deliberately *not* something
-to ship across a process boundary: its kernels hold process-unique workspace
-uids, its default :class:`~repro.engine.plan.WorkspacePool` caches buffers
-that must never be shared between processes, and pickling NumPy views of a
-parent's buffers would silently alias memory.  A :class:`PlanSpec` is the
+to ship across a process boundary: pickling NumPy views of a parent's
+buffers would silently alias memory.  A :class:`PlanSpec` is the
 transportable alternative — a plain-data snapshot of everything a plan *is*
 (kernel geometry, weight/bias/threshold tensors, task plans, dynamic-sparse
 config, specialization provenance) and nothing a plan *uses at run time*.
 
 ``PlanSpec.from_plan(plan)`` captures a dense or specialized plan;
 ``spec.build()`` reconstructs a semantically identical plan with **fresh**
-kernel uids and an **empty** workspace pool, so a spawned worker process
-deserialises its own private executable copy instead of inheriting parent
-state.  Reconstruction is exact: the rebuilt plan produces bit-identical
+kernels, so a spawned worker process deserialises its own private executable
+copy instead of inheriting parent state, and runs it on its own workspace
+pools.  Reconstruction is exact: the rebuilt plan produces bit-identical
 logits to the source plan for any input, because every tensor is carried
 verbatim and the kernels are pure functions of their tensors.
 
@@ -412,7 +410,7 @@ class PlanSpec:
         )
 
     def build(self) -> EnginePlan:
-        """Reconstruct an executable plan: fresh kernels, empty workspaces."""
+        """Reconstruct an executable plan with fresh kernels."""
         from repro.engine.specialize import SpecializedEnginePlan
 
         kernels = [_build_kernel(index, desc) for index, desc in enumerate(self.kernels)]

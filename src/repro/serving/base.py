@@ -135,8 +135,7 @@ class PlanSet:
         # width); specialized plans coalesce only when their compacted
         # geometry digest matches (see ``coalescing_signature``), and plans of
         # unknown provenance never coalesce.  The *leader* (first-registered
-        # member) names the one plan object every batch of the group executes,
-        # which is what keeps worker workspace pools from growing per task.
+        # member) names the one plan object every batch of the group executes.
         self._groups: Dict[str, str] = {}
         self._leaders: Dict[str, str] = {}
         for name, task_plan in self.plan.tasks.items():
@@ -198,26 +197,6 @@ class PlanSet:
             name: self.plan_for(name).tasks[name] for name in set(batch.tasks)
         }
         return exec_plan, task_plans, batch.tasks
-
-    def kernel_uids(self, reachable_only: bool = False) -> set:
-        """Workspace-owner uids of every kernel across the whole set.
-
-        With ``reachable_only`` (a coalescing runtime pruning worker pools),
-        only plans that can actually execute contribute: the dense plan plus
-        each coalescing group's leader.  Non-leader specialized plans are
-        never run once groups form — their buffers are reclaimable.
-        """
-        if reachable_only:
-            by_id = {id(self.plan): self.plan}
-            for leader in self._leaders.values():
-                plan = self.plan_for(leader)
-                by_id.setdefault(id(plan), plan)
-            plans = list(by_id.values())
-        else:
-            plans = [self.plan, *self.specialized.values()]
-        uids = {kernel.uid for plan in plans for kernel in plan.kernels}
-        uids.update(plan._mixed_uid for plan in plans)
-        return uids
 
     def plan_bytes(self, shared_only: bool = False) -> int:
         """Resident bytes of the set's tensors, counting shared memory once.
@@ -305,8 +284,8 @@ class BaseRuntime:
         #: Per-task specialized plans (:func:`repro.engine.specialize.
         #: specialize_tasks`) ride next to the dense plan in one PlanSet.
         #: All plans are immutable, and every worker's private WorkspacePool
-        #: keys buffers by kernel identity, so the same pool serves whichever
-        #: plan a batch's task selects.
+        #: keys buffers by lifetime, not by kernel, so the same pool serves
+        #: whichever plan a batch's task selects without growing per plan.
         self._plans = PlanSet(plan, specialized)
         self.policy = get_policy(policy)
         self.micro_batch = micro_batch

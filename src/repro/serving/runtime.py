@@ -6,11 +6,13 @@ and receive a :class:`~repro.serving.request.ServingResult` future; a
 :class:`~repro.serving.batcher.DynamicBatcher` groups arrivals into per-task
 micro-batches (closed on size or ``max_wait``); and a pool of worker threads
 executes batches over the **shared, immutable** plan — each worker owns a
-private :class:`~repro.engine.WorkspacePool`, so the NumPy GEMMs (which
-release the GIL) run genuinely in parallel across workers serving *different*
-tasks.  That is the software analogue of the paper's pipelined hardware
-scenario, and the measured schedule/sparsity feed the same systolic-array
-simulator via :meth:`ServingRuntime.hardware_report`.
+private :class:`~repro.engine.WorkspacePool`, shared by every plan it runs
+and sized by one kernel call's live buffers (so hot-swaps and task counts
+never grow it), and the NumPy GEMMs (which release the GIL) run genuinely
+in parallel across workers serving *different* tasks.  That is the software
+analogue of the paper's pipelined hardware scenario, and the measured
+schedule/sparsity feed the same systolic-array simulator via
+:meth:`ServingRuntime.hardware_report`.
 
 Everything except the worker threads themselves lives in
 :class:`~repro.serving.base.BaseRuntime`, which this class shares with the
@@ -35,7 +37,7 @@ import numpy as np
 
 from repro.engine.plan import WorkspacePool
 from repro.engine.scheduling import MicroBatch
-from repro.serving.base import BaseRuntime, PlanSet, run_plan_batch
+from repro.serving.base import BaseRuntime, run_plan_batch
 from repro.serving.request import ServingRequest
 
 
@@ -61,24 +63,6 @@ class ServingRuntime(BaseRuntime):
             thread.start()
             self._threads.append(thread)
             self._pools.append(pool)
-
-    def _apply_swap(self, plans: PlanSet, timeout) -> None:
-        """Cut over between micro-batches: one atomic snapshot assignment.
-
-        Workers read the plan set once per batch, the batcher is drained and
-        intake is paused, so no batch can straddle the assignment.  Old
-        plans' workspace buffers are pruned from the worker pools by kernel
-        uid — repeated swaps (the recalibration loop's steady state) would
-        otherwise grow every pool without bound.
-        """
-        self._plans = plans
-        # Under coalescing only the dense plan and each group's leader can
-        # execute, so non-leader specialized plans' buffers are dead weight —
-        # pruning by reachability is what keeps worker pools from scaling
-        # with the task count in the many-task regime.
-        live = plans.kernel_uids(reachable_only=self.coalesce)
-        for pool in self._pools:
-            pool.retain(live)
 
     def _join_workers(self, drain: bool, timeout: Optional[float]) -> None:
         # ``timeout`` bounds the *total* wait; if it elapses with workers

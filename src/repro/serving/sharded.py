@@ -9,8 +9,8 @@ running the workers as spawned **processes**:
 * **Spawn-safe plan transport** — each worker rebuilds its
   :class:`~repro.engine.EnginePlan` (and any per-task specialized plans) from
   a picklable :class:`~repro.engine.PlanSetSpec` shipped once at startup,
-  rather than pickling a live plan whose workspace pool and kernel uids are
-  process-local by contract.
+  rather than pickling a live plan; each worker's workspace pool is
+  process-local by contract and serves every plan it builds.
 * **Shared-memory rings** — per worker, a fixed-slot input ring and output
   ring backed by :class:`multiprocessing.shared_memory.SharedMemory`.  The
   parent writes a micro-batch's images straight into a free input slot and
@@ -239,9 +239,6 @@ def _shard_worker_main(
                     staged = pending_swaps.pop(message[1], None)
                     if staged is not None:
                         plan, specialized = staged
-                        # Fresh pool: the old plans' kernels (and their
-                        # workspace uids) are gone for good.
-                        pool = WorkspacePool()
                 elif kind == "swap_abort":
                     pending_swaps.pop(message[1], None)
                 continue

@@ -15,7 +15,8 @@ shared backbone.  These tests pin the whole contract down:
   per-task request attribution stays exact, and the report renders readably
   at 100+ tasks;
 * **memory** — worker workspace pools and the shared plan bytes stay flat in
-  the task count, and the v4 PlanSpec ships the backbone once.
+  the task count, specialized plans add nothing to a pool the dense plan
+  warmed, and the v4 PlanSpec ships the backbone once.
 """
 
 from __future__ import annotations
@@ -335,9 +336,8 @@ def test_zipf_scenario_is_deterministic_and_long_tailed():
 
 
 # ------------------------------------------------------------------ memory ----
-def test_worker_pools_and_reachable_kernels_stay_flat_in_task_count():
-    buffers = {}
-    reachable = {}
+def test_worker_pool_bytes_stay_flat_in_task_count():
+    footprint = {}
     for num_tasks in (10, 100):
         plan = build_plan(num_tasks, seed=2)
         # Three full micro-batches: identical batch-size keys in both runs,
@@ -352,28 +352,30 @@ def test_worker_pools_and_reachable_kernels_stay_flat_in_task_count():
         runtime.stop(drain=True)
         for future in futures:
             future.result(timeout=10.0)
-        buffers[num_tasks] = len(pool)
-        reachable[num_tasks] = len(PlanSet(plan).kernel_uids(reachable_only=True))
-    # Every task of the dense group executes on one leader plan, so the
-    # worker's workspace pool must not grow with the task count.
-    assert buffers[100] == buffers[10]
-    assert reachable[100] == reachable[10]
+        footprint[num_tasks] = (len(pool), pool.nbytes)
+    # The worker's pool holds one kernel call's live buffers at the largest
+    # batch, so it must not grow with the task count.
+    assert footprint[100] == footprint[10]
 
 
-def test_reachable_pruning_drops_non_leader_specialized_buffers(plan6):
-    specialized = specialize_tasks(plan6, compact_reduction=False)
-    plans = PlanSet(plan6, specialized)
-    full = plans.kernel_uids(reachable_only=False)
-    live = plans.kernel_uids(reachable_only=True)
-    assert live < full, "non-leader specialized plans must be prunable"
-    # Simulate the hot-swap prune: buffers owned by unreachable kernels go.
-    from repro.engine.plan import WorkspacePool
+def test_specialized_plans_add_no_bytes_to_a_dense_pool(plan6):
+    """A pool warmed by the dense plan already covers every compacted plan.
 
+    Compaction only shrinks each label's buffers, and slabs are shared by
+    every plan, so running any number of specialized plans through the pool
+    that ran the dense plan at the same batch allocates nothing.
+    """
+    from repro.engine import WorkspacePool
+
+    specialized = specialize_tasks(plan6, compact_reduction=True)
+    images = np.random.default_rng(4).normal(size=(16,) + plan6.input_shape)
     pool = WorkspacePool()
-    for uid in full:
-        pool.get(uid, "x", (1, 4), np.float32)
-    pool.retain(live)
-    assert len(pool) == len(live)
+    plan6.run(images, "task000", workspaces=pool)
+    dense = (len(pool), pool.nbytes)
+    assert any(plan.mac_reduction() > 0 for plan in specialized.values())
+    for name, plan in specialized.items():
+        plan.run(images, name, workspaces=pool)
+    assert (len(pool), pool.nbytes) == dense
 
 
 def test_shared_plan_bytes_stay_flat_at_100_tasks():

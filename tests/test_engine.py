@@ -190,18 +190,22 @@ def test_outputs_come_back_in_submission_order(network, rng):
 
 
 def test_workspace_buffers_are_reused_across_calls(network, batch):
+    from repro.engine.plan import thread_workspaces
+
     plan = compile_network(network)
     plan.run(batch, "alpha")
-    allocated = plan.num_workspace_buffers()
-    assert allocated > 0
-    buffers = dict(plan._workspaces._buffers)
+    pool = thread_workspaces()  # the default pool of this thread
+    footprint = (len(pool), pool.nbytes)
+    assert footprint[1] > 0
+    slabs = dict(pool._slabs)
     for _ in range(3):
         plan.run(batch, "beta")
-    assert plan.num_workspace_buffers() == allocated  # same shapes, same buffers
+    # Another plan of the same geometry shares the thread's pool.
+    compile_network(network).run(batch, "gamma")
+    # A smaller batch runs on views of the same slabs: nothing new.
     plan.run(batch[:2], "alpha")
-    # A smaller batch runs on prefix views of the same buffers: nothing new.
-    assert plan.num_workspace_buffers() == allocated
-    assert all(plan._workspaces._buffers[key] is buf for key, buf in buffers.items())
+    assert (len(pool), pool.nbytes) == footprint
+    assert all(pool._slabs[label] is slab for label, slab in slabs.items())
 
 
 @pytest.mark.parametrize("variant", ["im2col", "blocked"])
@@ -217,10 +221,7 @@ def test_every_batch_size_costs_what_the_largest_costs(network, variant):
         plan.run(images[:n], "alpha", workspaces=swept)
     plan.run(images, "alpha", workspaces=largest)
 
-    def footprint(pool):
-        return len(pool), sum(buf.nbytes for buf in pool._buffers.values())
-
-    assert footprint(swept) == footprint(largest)
+    assert (len(swept), swept.nbytes) == (len(largest), largest.nbytes)
 
 
 # ------------------------------------------------------------- hardware glue --
@@ -332,31 +333,58 @@ def test_workspace_pool_reallocates_on_shape_or_dtype_change():
     from repro.engine import WorkspacePool
 
     pool = WorkspacePool()
-    first = pool.get(1, "buf", (4, 8), np.float32)
-    first[:] = 7.0
-    assert pool.get(1, "buf", (4, 8), np.float32) is first  # steady state: reused
-    # A smaller leading extent is a prefix view of the same buffer.
-    prefix = pool.get(1, "buf", (2, 8), np.float32)
-    assert prefix.shape == (2, 8) and prefix.base is first
-    # A larger one replaces it with a fresh zeroed buffer; still one entry.
-    grown = pool.get(1, "buf", (6, 8), np.float32)
-    assert grown.shape == (6, 8) and (grown == 0.0).all()
-    assert not np.shares_memory(grown, first) and len(pool) == 1
-    assert pool.get(1, "buf", (4, 8), np.float32).base is grown
-    # Different trailing geometry or dtype: a separate zeroed entry, never a
-    # stale view — the zero-from-allocation-time invariant depends on it.
-    resized = pool.get(1, "buf", (4, 16), np.float32)
-    assert resized.shape == (4, 16) and (resized == 0.0).all()
-    retyped = pool.get(1, "buf", (4, 16), np.float64)
-    assert retyped.dtype == np.float64 and (retyped == 0.0).all()
-    assert len(pool) == 3
+    first = pool.get("buf", (4, 8), np.float32)
+    assert pool.get("buf", (4, 8), np.float32) is first  # steady state: one lookup
+    # Every request for one label is a view of its one slab, whatever the
+    # shape or dtype: a smaller batch, another kernel's geometry, int masks.
+    for shape, dtype in (((2, 8), np.float32), ((4, 4), np.float64), ((3, 5), np.bool_)):
+        view = pool.get("buf", shape, dtype)
+        assert view.shape == shape and view.dtype == dtype
+        assert np.shares_memory(view, first)
+    assert (len(pool), pool.nbytes) == (1, first.nbytes)
+    # A larger request grows the slab, and no view of the old slab survives.
+    grown = pool.get("buf", (6, 8), np.float32)
+    assert not np.shares_memory(grown, first)
+    again = pool.get("buf", (4, 8), np.float32)
+    assert again is not first and np.shares_memory(again, grown)
+    assert (len(pool), pool.nbytes) == (1, grown.nbytes)
+    # Labels never alias one another.
+    assert not np.shares_memory(pool.get("other", (6, 8), np.float32), grown)
+    # Outputs alternate between two slabs: never the one holding the input.
+    a = pool.output(np.zeros(1), (4, 8), np.float32)
+    b = pool.output(a, (4, 8), np.float32)
+    c = pool.output(b.reshape(-1), (32,), np.float32)
+    assert not np.shares_memory(a, b) and not np.shares_memory(b, c)
+    assert np.shares_memory(a, c)
+
+
+def _scatter_plan(plan, task, offset=0):
+    """Exact-mode specialization of ``task`` with every masked conv compacted.
+
+    A third of each layer's channels are declared dead (which third depends
+    on ``offset``) and lanes pad to 2, so every masked conv ends in a
+    compacted GEMM with a pad lane, re-densified by a ChannelScatterKernel
+    (exact mode never compacts FC layers).
+    """
+    from repro.engine import CalibrationProfile, ChannelScatterKernel, specialize_plan
+
+    survival = {
+        kernel.mask.layer_name: (np.arange(kernel.weight_t.shape[1]) % 3 != offset).astype(float)
+        for kernel in plan.kernels
+        if getattr(kernel, "mask", None) is not None
+    }
+    profile = CalibrationProfile(survival={task: survival}, num_images={task: 1})
+    spec = specialize_plan(
+        plan, task, profile, compact_reduction=False, granularity=2, exact_min_rows=1
+    )
+    convs = sum(mask.kind == "conv" for mask in plan.mask_specs)
+    assert sum(isinstance(k, ChannelScatterKernel) for k in spec.kernels) == convs
+    return spec
 
 
 def _pool_reuse_case(network, case, monkeypatch):
     """(run(images, pool) -> logits) for one lowering or execution path."""
-    from repro.engine import (
-        calibrate_plan, force_kernel_variant, quantize_plan_kernels, specialize_tasks,
-    )
+    from repro.engine import calibrate_plan, force_kernel_variant, quantize_plan_kernels
     from repro.engine import kernels as K
 
     if case == "mixed":
@@ -366,10 +394,10 @@ def _pool_reuse_case(network, case, monkeypatch):
         return lambda x, pool: plan.run_mixed(
             x, [("alpha", "delta")[i % 2] for i in range(len(x))], workspaces=pool
         )
-    profile = calibrate_plan(plan, batch_size=8, seed=4)
     if case == "exact-specialized":
-        spec = specialize_tasks(plan, profile=profile, compact_reduction=False)["alpha"]
+        spec = _scatter_plan(plan, "alpha")
         return lambda x, pool: spec.run(x, "alpha", workspaces=pool)
+    profile = calibrate_plan(plan, batch_size=8, seed=4)
     if case in ("int8", "int8spd"):
         monkeypatch.setattr(K, "_INT8SPD_WINS", True)
         quantize_plan_kernels(plan, profile, set_variant=False)
@@ -384,35 +412,39 @@ def _pool_reuse_case(network, case, monkeypatch):
 def test_padded_workspace_large_then_small_batch_cannot_leak(network, case, monkeypatch):
     """A big-batch run must not contaminate a later small-batch run.
 
-    Smaller batches run on prefix views of the big batch's buffers, so pad
-    borders, dead im2col columns, scattered dead channels and the Winograd
-    tile-plane tail must stay zero in every slab: running a large batch with
-    extreme values and then a smaller batch through the same pool (and the
-    reverse) must give exactly the same logits as a fresh pool, on every
-    lowering, on an exact-mode specialized plan and on a coalesced batch.
+    Every slab is shared by every kernel of every plan and starts
+    uninitialised, so pad borders, scattered dead channels and the Winograd
+    tile-plane tail must be restored on every call: running a large batch
+    with extreme values and then a smaller batch through the same pool (and
+    the reverse) must give exactly the same logits as a fresh pool, on every
+    lowering, on an exact-mode specialized plan and on a coalesced batch —
+    also when a different plan (another task's exact-mode specialization,
+    with its own scatter) runs through the pool in between.
     """
     from repro.engine import WorkspacePool
 
     run = _pool_reuse_case(network, case, monkeypatch)
+    other = _scatter_plan(compile_network(network, dtype=np.float64), "beta", offset=1)
     rng = np.random.default_rng(77)
     big = 1e6 * rng.normal(size=(16, 3, 16, 16))  # extreme values to make leaks loud
     small = rng.normal(size=(3, 3, 16, 16))
 
-    shared = WorkspacePool()
-    run(big, shared)
-    np.testing.assert_array_equal(run(small, shared), run(small, WorkspacePool()))
-    # And the reverse order (small warms the pool, big reuses it).
-    shared2 = WorkspacePool()
-    run(small, shared2)
-    np.testing.assert_array_equal(run(big, shared2), run(big, WorkspacePool()))
+    # Both orders: big warms the pool and small reuses it, then the reverse.
+    for first, second in ((big, small), (small, big)):
+        for between in (False, True):
+            shared = WorkspacePool()
+            run(first, shared)
+            if between:
+                other.run(big, "beta", workspaces=shared)
+            np.testing.assert_array_equal(run(second, shared), run(second, WorkspacePool()))
 
 
 def test_one_pool_safely_serves_dense_and_specialized_plans(network, batch):
     """Serving workers hold one pool while switching between per-task plans.
 
-    Buffers are keyed by kernel identity, so a dense plan and a compacted
-    specialized plan (same kernel indices, different shapes) must coexist in
-    one pool without clobbering each other.
+    Slabs are keyed by buffer lifetime, not by kernel, so a dense plan and a
+    compacted specialized plan (different shapes under every label) take
+    turns in the same memory and must never see each other's leftovers.
     """
     from repro.engine import WorkspacePool, calibrate_plan, specialize_tasks
 
@@ -427,13 +459,108 @@ def test_one_pool_safely_serves_dense_and_specialized_plans(network, batch):
     np.testing.assert_array_equal(spec_out, specialized["alpha"].run(batch, "alpha"))
 
 
+def test_threads_running_plans_concurrently_use_their_own_pools(network, batch):
+    """Each thread's default pool is its own, so concurrent runs never clash.
+
+    Four threads (more than the cores this runs on) interleave dense and
+    specialized plans over the same immutable plan objects with the
+    interpreter switching threads as often as it can; every output must
+    equal the one a private pool produces.
+    """
+    import sys
+    import threading
+
+    from repro.engine import WorkspacePool, calibrate_plan, specialize_tasks
+
+    plan = compile_network(network, dtype=np.float64)
+    profile = calibrate_plan(plan, images={name: batch for name, _ in TASKS})
+    specialized = specialize_tasks(plan, profile=profile)
+    runs = [(p, name) for name, _ in TASKS for p in (plan, specialized[name])]
+    expected = [p.run(batch, name, workspaces=WorkspacePool()) for p, name in runs]
+    mismatches = []
+
+    def worker(offset: int) -> None:
+        for step in range(24):
+            index = (offset + step) % len(runs)
+            p, name = runs[index]
+            if not np.array_equal(p.run(batch, name), expected[index]):
+                mismatches.append((offset, step))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
 def test_mask_buffers_are_pooled_and_reused(network, batch):
+    from repro.engine import WorkspacePool
+
     plan = compile_network(network)
-    plan.run(batch, "alpha")
-    allocated = plan.num_workspace_buffers()
-    buffers = plan._workspaces._buffers
-    mask_buffers = [buf for buf in buffers.values() if buf.dtype == np.bool_]
-    assert mask_buffers, "threshold masks should live in pooled bool buffers"
+    pool = WorkspacePool()
+    plan.run(batch, "alpha", workspaces=pool)
+    mask = pool._slabs.get("mask")
+    assert mask is not None, "threshold masks should live in a pooled slab"
+    footprint = (len(pool), pool.nbytes)
     for _ in range(3):
-        plan.run(batch, "beta")
-    assert plan.num_workspace_buffers() == allocated  # steady state: no new buffers
+        plan.run(batch, "beta", workspaces=pool)
+    assert (len(pool), pool.nbytes) == footprint  # steady state: no new buffers
+    assert pool._slabs["mask"] is mask
+
+
+def test_warm_runs_allocate_no_workspace_memory(network):
+    """A warm ``run`` and ``run_mixed`` allocate nothing workspace-sized.
+
+    What remains is the channels-last copy of the input batch and the
+    logits; any kernel buffer taken outside the pool would at least double
+    the traced peak.
+    """
+    import tracemalloc
+
+    network.add_task("delta", 4, rng=np.random.default_rng(5))  # alpha's head width
+    plan = compile_network(network)
+    images = np.random.default_rng(8).normal(size=(16, 3, 16, 16)).astype(np.float32)
+    row_tasks = [("alpha", "delta")[i % 2] for i in range(len(images))]
+    calls = {
+        "run": lambda: plan.run(images, "alpha"),
+        "run_mixed": lambda: plan.run_mixed(images, row_tasks),
+    }
+    for call in calls.values():
+        call()  # warm the thread's default pool
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * images.nbytes, f"{name} peaked at {peak} bytes"
+
+
+def test_calibrate_plan_leaves_no_scratch_behind(network):
+    """Calibration runs on a private pool: its batch-32 scratch is freed."""
+    import gc
+    import tracemalloc
+
+    from repro.engine import calibrate_plan
+
+    plan = compile_network(network, dtype=np.float64)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        profile = calibrate_plan(plan, batch_size=32, seed=0)
+        gc.collect()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.tasks() == plan.task_names()
+    assert peak - before > 1 << 20  # the scratch really was that large...
+    assert after - before < 1 << 20  # ...and none of it outlived the call

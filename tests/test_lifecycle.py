@@ -156,18 +156,30 @@ class TestThreadHotSwap:
             for future in futures:
                 future.result(timeout=60.0)
 
-    def test_swap_prunes_stale_workspace_buffers(self, deployment):
-        _, plan, store, _ = deployment
-        runtime = ServingRuntime(plan, micro_batch=MICRO_BATCH, max_wait=0.002, workers=1)
-        with runtime:
-            warm = [runtime.submit(task, np.zeros(plan.input_shape)) for task in TASKS]
-            for future in warm:
+    def test_swap_keeps_worker_pool_bytes_flat(self, deployment):
+        """Swapped-out plans leave nothing behind in the worker's pool.
+
+        Slabs are keyed by lifetime, not by kernel, so a recompiled plan of
+        the same geometry reuses exactly the memory the old plan used.
+        """
+        network, plan, _, _ = deployment
+        runtime = ServingRuntime(plan, micro_batch=MICRO_BATCH, max_wait=5.0, workers=1)
+
+        def serve_full_batches() -> None:
+            # MICRO_BATCH requests per task: every batch closes full.
+            stream = deterministic_stream(plan, per_task=MICRO_BATCH, seed=9)
+            for future in [runtime.submit(task, image) for task, image in stream]:
                 future.result(timeout=60.0)
-            assert any(len(pool) for pool in runtime._pools)
-            new_plans = runtime.swap(store.load(), timeout=60.0)
-            live = new_plans.kernel_uids()
-            for pool in runtime._pools:
-                assert all(key[0] in live for key in pool._buffers)
+
+        with runtime:
+            serve_full_batches()
+            (pool,) = runtime._pools
+            footprint = pool.nbytes
+            assert footprint > 0
+            for _ in range(3):
+                runtime.swap(compile_network(network, dtype=np.float32), timeout=60.0)
+                serve_full_batches()
+                assert pool.nbytes == footprint
 
     def test_swap_validation_and_closed_runtime(self, deployment):
         _, plan, _, _ = deployment

@@ -96,7 +96,6 @@ class TestPlanSpec:
         source = plan.kernels[0].weight_t
         clone = rebuilt.kernels[0].weight_t
         assert not np.shares_memory(source, clone)
-        assert rebuilt.num_workspace_buffers() == 0
 
     @pytest.mark.parametrize("compact", [True, False])
     def test_specialized_round_trip_preserves_provenance(self, served, compact):
@@ -241,31 +240,29 @@ class TestShardedRuntime:
     reason="fork start method unavailable on this platform",
 )
 def test_workspace_pool_buffers_are_process_local_after_fork():
-    """A forked child must never reuse the parent's cached workspace buffers.
+    """A forked child must never reuse the parent's cached workspace slabs.
 
-    A parent buffer can be a view over shared memory (the sharded runtime's
-    rings); writing to it from the child would corrupt the parent's live
-    data.  The pool drops every inherited buffer on first use in a new
-    process.
+    The child must never write memory its parent may still be reading, so
+    the pool drops every inherited slab on first use in a new process.
     """
     ctx = multiprocessing.get_context("fork")
     pool = WorkspacePool()
-    parent_buffer = pool.get(1, "scratch", (4, 4), np.float64)
+    parent_buffer = pool.get("scratch", (4, 4), np.float64)
     parent_buffer[:] = 7.0
     results = ctx.Queue()
 
     def child() -> None:
-        inherited = pool.get(1, "scratch", (4, 4), np.float64)
-        # Fresh and zeroed, not the parent's filled buffer.
-        results.put(float(inherited.sum()))
+        inherited = pool.get("scratch", (4, 4), np.float64)
+        # A fresh slab, not the parent's filled one.
+        results.put(bool(np.shares_memory(inherited, parent_buffer)))
         results.put(len(pool))
 
     process = ctx.Process(target=child)
     process.start()
     process.join(30.0)
     assert process.exitcode == 0
-    assert results.get(timeout=5.0) == 0.0
-    assert results.get(timeout=5.0) == 1  # the child rebuilt exactly one buffer
+    assert results.get(timeout=5.0) is False
+    assert results.get(timeout=5.0) == 1  # the child rebuilt exactly one slab
     # The parent's cache is untouched by the child's reset.
-    assert pool.get(1, "scratch", (4, 4), np.float64) is parent_buffer
+    assert pool.get("scratch", (4, 4), np.float64) is parent_buffer
     np.testing.assert_array_equal(parent_buffer, np.full((4, 4), 7.0))
