@@ -31,12 +31,14 @@ package provides the dedicated inference path:
   and the FC head (:func:`specialize_tasks`), plus the dynamic sparse
   row-gather fast path and its autotuner
   (:func:`autotune_dynamic_crossover`).
-* :mod:`repro.engine.kernels` holds the kernel variant subsystem: the
-  cache-blocked fused-epilogue GEMM, the im2col-free direct convolution, the
-  opt-in int8 quantized path (:func:`quantize_plan_kernels`), and the
-  per-layer kernel chooser (:func:`autotune_kernel_variants` /
-  :func:`apply_kernel_choices`) whose choices ride on the plan and through
-  :class:`PlanSpec` into spawned serving workers.
+* :mod:`repro.engine.kernels` holds the kernel lowerings, one
+  ``{name: runner}`` table per kind — conv ``im2col`` (default), the
+  cache-blocked fused-epilogue ``blocked`` GEMM, the im2col-free ``direct``
+  conv and the opt-in ``int8`` path (:func:`quantize_plan_kernels`); FC
+  ``dense`` and ``int8`` — and the per-layer kernel chooser
+  (:func:`autotune_kernel_variants` / :func:`apply_kernel_choices`) whose
+  choices ride on the plan and through :class:`PlanSpec` into spawned
+  serving workers.
 """
 
 from repro.engine.plan import (
@@ -61,14 +63,12 @@ from repro.engine.calibrate import (
 from repro.engine.kernels import (
     CONV_VARIANTS,
     LINEAR_VARIANTS,
-    POOL_VARIANTS,
     TIMING_CACHE,
     KernelTimingCache,
     QuantizedGemm,
     apply_kernel_choices,
     autotune_kernel_variants,
     force_kernel_variant,
-    int8_datapath_beats_float,
     kernel_timing_key,
     packed_weight_panels,
     quantize_gemm,
@@ -76,7 +76,6 @@ from repro.engine.kernels import (
     set_kernel_variant,
     variant_candidates,
     winograd_tolerance,
-    winograd_weights,
 )
 from repro.engine.planspec import PlanSetSpec, PlanSpec, TaskSpec
 from repro.engine.specialize import (
@@ -132,14 +131,12 @@ __all__ = [
     "specialize_tasks",
     "CONV_VARIANTS",
     "LINEAR_VARIANTS",
-    "POOL_VARIANTS",
     "TIMING_CACHE",
     "KernelTimingCache",
     "QuantizedGemm",
     "apply_kernel_choices",
     "autotune_kernel_variants",
     "force_kernel_variant",
-    "int8_datapath_beats_float",
     "kernel_timing_key",
     "packed_weight_panels",
     "quantize_gemm",
@@ -147,7 +144,6 @@ __all__ = [
     "set_kernel_variant",
     "variant_candidates",
     "winograd_tolerance",
-    "winograd_weights",
     "POLICIES",
     "SCHEDULING_MODES",
     "FifoDeadlinePolicy",

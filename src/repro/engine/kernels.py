@@ -1,102 +1,48 @@
-"""Kernel variants for the fused GEMM engine, plus the per-layer chooser.
+"""Kernel lowerings for the fused GEMM engine, plus the per-layer chooser.
 
-The compiled plan's default execution path (``ConvGemmMaskKernel.run``'s
-im2col → one monolithic GEMM → ``apply_threshold_mask``) is simple and
-bit-stable, but it is not always the fastest way to run a layer on a given
-machine.  This module adds alternative lowerings of the *same* layer
-semantics, selectable per kernel instance via its ``variant`` attribute:
+Every GEMM kernel of a compiled plan runs one of several lowerings of the
+*same* layer semantics, selected per kernel instance by its ``variant``
+attribute.  Each kind has one ``{name: runner}`` table; :data:`CONV_VARIANTS`
+and :data:`LINEAR_VARIANTS` are its keys, default first.
 
 Convolutions (``ConvGemmMaskKernel``)
-  * ``"im2col"`` (default) — the original path, untouched, so existing plans
-    behave exactly as before and the dynamic row-gather fast path keeps its
-    bit-exactness story.
-  * ``"blocked"`` — cache-blocked fused GEMM: images are processed in blocks
-    whose im2col panel fits in cache (:data:`_COLS_BLOCK_BYTES`), the panel
-    is built with one long-run strided copy per kernel row
-    (:func:`copy_window_strips` — ``k`` copies of ``k*C_in``-wide runs
-    instead of ``k*k`` copies of ``C_in``-wide runs), and the bias +
-    threshold-mask epilogue is applied to each output tile while it is still
-    cache-hot.  The panel is **bit-identical** to the monolithic im2col
-    matrix and each block's GEMM sees the same per-row reduction order, so
-    this variant reproduces the default path bit for bit.
-  * ``"packed"`` — the blocked GEMM with panel-resident weights: the weight
-    matrix's columns are repacked once at plan build into L2-sized
-    contiguous panels (:func:`packed_weight_panels`), so the B-matrix stays
-    cache-resident across image blocks instead of being re-streamed from
-    DRAM per block.  Panel boundaries fall on BLAS micro-kernel lane
-    multiples, and a candidate multi-panel split is kept only after a
-    build-time proof that it reproduces the full-width GEMM's bits on this
-    host (:func:`_packed_split_exact`; otherwise the packing collapses to
-    one contiguous panel), so ``packed`` is unconditionally
-    **bit-identical** to ``blocked`` (and therefore to ``im2col``).
-    Composes with dead-channel compaction — panels are packed from the
-    kernel's current (possibly compacted) weights.
+  * ``"im2col"`` (default) — im2col → one monolithic GEMM →
+    :func:`apply_threshold_mask`; the untuned reference path, and the home of
+    the dynamic row-gather fast path and its bit-exactness story.
+  * ``"blocked"`` — cache-blocked fused GEMM: per block of images, an im2col
+    panel built by long-run strided copies (:func:`copy_window_strips`),
+    GEMMs against L2-resident weight column panels packed once at plan build
+    (:func:`packed_weight_panels`), and the bias + threshold-mask epilogue
+    while the tile is cache-hot.  **Bit-identical** to ``im2col``: the panel
+    equals the im2col matrix, blocking never splits a GEMM row, and a weight
+    split is kept only after a build-time proof that it reproduces the
+    full-width GEMM's bits on this host.
   * ``"direct"`` — im2col-free shift-and-add convolution: one full-plane
-    GEMM per filter tap, accumulated into the output through shifted
-    ``as_strided``-style window views.  No ``cols`` workspace exists at all.
-    1x1/stride-1 layers degenerate to a single GEMM over the input itself
-    (bit-identical to im2col, whose column matrix *is* the input); for k>1
-    the per-pixel reduction is regrouped from ``(ky, kx, c)`` order into
-    per-tap partial sums, so the contract is ULP-level (``allclose``), not
-    bitwise.  Eligible for stride-1 layers (the dominant VGG shapes).
-  * ``"winograd"`` — F(2x2, 3x3) Winograd transform for stride-1 3x3 convs:
-    weights are pre-transformed once at plan build (:func:`winograd_weights`,
-    cached on the kernel), the input transform is tiled per cache block with
-    pure add/subtract combinations (``B``'s entries are 0/±1 — the only
-    multiplies are the 16 per-face tile GEMMs), and the inverse transform is
-    fused with the bias+threshold-mask epilogue per block.  Executes
-    ``16/36`` of the direct multiply count per output tile (2.25x fewer
-    MACs, reported as such by the traffic hook).  The transforms regroup
-    reductions beyond per-tap splitting, so the contract is a **declared
-    tolerance** (:func:`winograd_tolerance`) rather than ULP.  Falls back to
-    the other variants for stride>1 / non-3x3 shapes (not eligible).
+    GEMM per filter tap, accumulated through shifted window views, with no
+    ``cols`` workspace at all.  1x1/stride-1 layers degenerate to the
+    identical single GEMM (bit-exact); for k>1 the per-pixel reduction is
+    regrouped into per-tap partial sums, so the contract is ULP-level
+    (:func:`winograd_tolerance`), not bitwise.  Stride-1 layers only.
   * ``"int8"`` — opt-in symmetric-quantized inference (see
-    :class:`QuantizedGemm`): activations are quantized on the fly with a
-    per-kernel scale calibrated from :class:`~repro.engine.calibrate.
-    CalibrationProfile` activation ranges, weights carry per-output-channel
-    scales, the integer GEMM accumulates exactly (values are stored in a
-    float container wide enough that every int32-range accumulation is
-    representable — the float unit *is* the exact integer datapath), and
-    the epilogue dequantizes, adds the float bias and applies the threshold
-    mask.  Accuracy contract: declared tolerance measured by the
-    differential suite, not bit-exactness.
-  * ``"int8spd"`` — the genuine int8 *speed* datapath: the quantized weights
-    are additionally packed as contiguous ``int16`` rows
-    (``QuantizedGemm.weight_qi``), activations quantize into an ``int16``
-    panel, and the inner product runs as a wide-integer ``np.einsum`` into
-    an ``int32`` accumulator with panel-bounded reduction depth
-    (:func:`_int8_accumulate`).  The integer accumulation is exact, the
-    dequant/guard-band-refinement/mask epilogue is shared with ``int8``, so
-    ``int8spd`` output is **bit-identical to ``int8``** — same declared
-    accuracy contract, different execution engine.  The chooser only offers
-    it when the host's integer matmul actually beats float32 BLAS
-    (:func:`int8_datapath_beats_float`, measured once per process).
+    :class:`QuantizedGemm`): activations quantized on the fly with a
+    calibrated per-kernel scale, per-output-channel weight scales, an exact
+    integer GEMM in a float container, then dequantize + float bias +
+    near-threshold refinement + mask.  Accuracy contract: declared tolerance
+    measured by the differential suite, not bit-exactness.
 
 Fully-connected layers (``LinearMaskKernel``)
-  ``"dense"`` (default, original path), ``"blocked"`` (row-blocked GEMM with
-  the bias+mask epilogue fused per block — bit-identical), ``"packed"``
-  (blocked + panel-resident weights — bit-identical), ``"int8"``,
-  ``"int8spd"``.
+  ``"dense"`` (default: one GEMM with the dynamic row-gather fast path) and
+  ``"int8"``.
 
-Max pooling (``MaxPoolKernel``)
-  ``"reshape"`` (default, original path: reshape-reduce for aligned
-  non-overlapping windows) and ``"views"`` (strided-window ``np.maximum``
-  cascade — bit-identical, and measurably faster on this machine's
-  single-core OpenBLAS build because it avoids the 6-D reduction).
+Max pooling (``MaxPoolKernel``) has one path — the strided-window
+``np.maximum`` cascade — and is not a chooser candidate.
 
 :func:`autotune_kernel_variants` times every eligible variant of every
-kernel on synthetic inputs of the kernel's true geometry (through the real
-``kernel.run`` entry point, epilogue included) and caches the winning
-choices on ``plan.kernel_choices``; :func:`apply_kernel_choices` replays a
-cached choice map onto any plan whose kernels share names — which is how
-choices survive :class:`~repro.engine.planspec.PlanSpec` round-trips into
-spawned workers.  Measurements themselves are deduplicated through a
-process-level :class:`KernelTimingCache` keyed by (layer geometry, variant):
-N per-task specialized plans with identical shapes time each candidate once,
-and chooser-aware re-specialization (``specialize_plan(choose_kernels=True)``,
-the online :class:`~repro.serving.recalibrate.RecalibrationLoop`) re-runs the
-chooser on the freshly compacted geometry as pure cache replay when the
-shapes did not change — zero re-timing per deploy.
+kernel through the real ``kernel.run`` entry point and caches the winners on
+``plan.kernel_choices``, memoised per (layer geometry, variant) in a
+process-level :class:`KernelTimingCache`; :func:`apply_kernel_choices`
+replays a choice map onto any plan whose kernels share names, which is how
+choices survive :class:`~repro.engine.planspec.PlanSpec` round-trips.
 
 This module deliberately imports nothing from :mod:`repro.engine.plan`
 (``plan.py`` imports *us*); every entry point takes the kernel object and
@@ -121,7 +67,6 @@ __all__ = [
     "WorkspacePool",
     "CONV_VARIANTS",
     "LINEAR_VARIANTS",
-    "POOL_VARIANTS",
     "QuantizedGemm",
     "quantize_gemm",
     "quantize_plan_kernels",
@@ -134,9 +79,7 @@ __all__ = [
     "report_mask_stats",
     "record_variant_traffic",
     "winograd_tolerance",
-    "winograd_weights",
     "packed_weight_panels",
-    "int8_datapath_beats_float",
     "KernelTimingCache",
     "TIMING_CACHE",
     "kernel_timing_key",
@@ -150,13 +93,6 @@ _COLS_BLOCK_BYTES = 1 << 19
 #: Byte budget of one packed weight panel (columns of ``weight_t``).  256 KB
 #: leaves room in L2 for the im2col block panel streaming past it.
 _PACKED_PANEL_BYTES = 1 << 18
-
-#: Per-block scratch budget of the Winograd path (4 MB, L3-resident).  The
-#: face GEMMs touch one face at a time so they never need the whole block in
-#: L2, while the add/subtract transform passes are dispatch-bound: measured
-#: across the vgg_small conv shapes, blocks sized to this budget run the
-#: whole pipeline 1.4-2x faster than L2-sized blocks.
-_WINO_BLOCK_BYTES = 1 << 22
 
 #: Packed panel boundaries fall on multiples of this many columns.  BLAS
 #: micro-kernels partition the output into fixed-width column micro-tiles and
@@ -175,13 +111,9 @@ _PACKED_PANEL_LANES = 16
 
 #: GEMM row counts the packed-split proof probes (see
 #: :func:`_packed_split_exact`): a geometric spread over the row regimes the
-#: blocked runners produce, from a single-image remainder block to a full
+#: blocked runner produces, from a single-image remainder block to a full
 #: cache block.
 _PACKED_PROBE_ROWS = (1, 8, 64, 256)
-
-CONV_VARIANTS = ("im2col", "blocked", "packed", "direct", "winograd", "int8", "int8spd")
-LINEAR_VARIANTS = ("dense", "blocked", "packed", "int8", "int8spd")
-POOL_VARIANTS = ("reshape", "views")
 
 #: int8 symmetric quantization range (zero-point-free).
 _QMAX = 127.0
@@ -194,17 +126,6 @@ _QMAX = 127.0
 #: layer stack (see ``_refine_conv_int8``).
 _INT8_GUARD = 8.0
 
-#: Reduction-panel depth of the int8 speed path's integer accumulation.
-#: Each panel's int32 partial sums are bounded by ``4096 * 127**2 ~= 2**26``,
-#: far inside int32 range; deeper reductions accumulate panel by panel, so
-#: the wide-integer einsum is exact at any depth.
-_INT8SPD_PANEL_ROWS = 4096
-
-#: Cached verdict of the once-per-process int8 datapath probe
-#: (:func:`int8_datapath_beats_float`); ``None`` = not measured yet.  Tests
-#: monkeypatch this to force chooser eligibility deterministically.
-_INT8SPD_WINS: Optional[bool] = None
-
 
 # ---------------------------------------------------------------------------
 # Workspace memory, keyed by lifetime.
@@ -213,8 +134,8 @@ class WorkspacePool:
     """Scratch memory of one executing thread, keyed by lifetime, not by kernel.
 
     A plan is a chain of kernels, so every buffer has one of two lifetimes.
-    **Scratch** — pad planes, im2col/panel columns, masks, the ``tap``,
-    Winograd ``w*`` and int8 ``q*`` temporaries, and a mixed batch's per-row
+    **Scratch** — pad planes, im2col/panel columns, masks, the ``tap`` and
+    int8 ``q*`` temporaries, and a mixed batch's per-row
     ``mixthr<slot>`` thresholds (which live for the whole run) — gets one
     growable slab per label, shared by every kernel of every plan: two
     buffers live in one kernel call always carry different labels, so they
@@ -357,9 +278,9 @@ def apply_threshold_mask(
     buffer comes from the workspace pool and is rewritten in place with
     ``np.greater_equal(..., out=...)``, so steady-state serving allocates
     nothing here.  Survival statistics flow through
-    :func:`report_mask_stats`; the blocked variants skip this function and
-    mask per cache-hot tile instead, feeding the same reporting tail with
-    their accumulated counts.
+    :func:`report_mask_stats`; the blocked variant skips this function and
+    masks per cache-hot tile instead, feeding the same reporting tail with
+    its accumulated counts.
     """
     n = gemm.shape[0]
     mask = ws.get("mask", gemm.shape, np.bool_)
@@ -427,32 +348,12 @@ def conv_variant_traffic(kernel, n: int, variant: str) -> tuple:
                 plane * c_in + plane * c_out + 2 * rows * c_out
             )
         return macs, nbytes
-    if variant == "winograd":
-        th, tw = (h_out + 1) // 2, (w_out + 1) // 2
-        tiles = n * th * tw
-        # 16 tile GEMMs over (tiles, c_in) x (c_in, c_out): 16 multiplies
-        # per 2x2 output tile where direct convolution spends 36 — the
-        # genuinely reduced multiply count is the whole point.
-        macs = 16 * tiles * c_in * c_out
-        hp, wp = 2 * th + 2, 2 * tw + 2
-        nbytes = (
-            input_bytes
-            + item * n * hp * wp * c_in  # zero-bordered tile plane
-            + 2 * item * 16 * tiles * (c_in + c_out)  # V and M faces, written + read
-            + item * 16 * c_in * c_out  # pre-transformed weights
-            + out_bytes
-            + mask_bytes
-        )
-        return macs, nbytes
     macs = rows * reduction * c_out
-    # im2col/blocked/packed/int8: cols written once and re-read by the GEMM.
+    # im2col/blocked/int8: cols written once and re-read by the GEMM.
     cols_bytes = 2 * item * rows * reduction
     nbytes = input_bytes + cols_bytes + weight_bytes + out_bytes + mask_bytes
-    if variant in ("int8", "int8spd"):
+    if variant == "int8":
         nbytes += item * plane * c_in  # the extra quantize pass
-    if variant == "int8spd":
-        # int16 column panel + int32 accumulator replace the float cols/acc.
-        nbytes += (2 - item) * 2 * rows * reduction + (4 - item) * rows * c_out
     return macs, nbytes
 
 
@@ -464,15 +365,9 @@ def linear_variant_traffic(kernel, n: int, variant: str) -> tuple:
     nbytes = item * (n * reduction + reduction * width + n * width)
     if kernel.mask is not None:
         nbytes += 2 * n * width + item * n * width
-    if variant in ("int8", "int8spd"):
+    if variant == "int8":
         nbytes += item * n * reduction
-    if variant == "int8spd":
-        nbytes += (2 - item) * n * reduction + (4 - item) * n * width
     return macs, nbytes
-
-
-def pool_variant_traffic(kernel, x: np.ndarray, out: np.ndarray) -> tuple:
-    return 0, x.nbytes + out.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -529,19 +424,120 @@ def _padded_input(kernel, x: np.ndarray, ws) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The default lowerings and their dynamic sparse fast path.
+# ---------------------------------------------------------------------------
+def _gemm_with_dynamic_row_gather(kernel, a: np.ndarray, out: np.ndarray, ctx) -> bool:
+    """``out = a @ kernel.weight_t + kernel.bias``, row-gathered when it pays.
+
+    When the run context's gate says the previous masked layer was sparse
+    enough, rows of ``a`` that are entirely zero (a receptive field the
+    previous mask killed completely, or a fully-masked sample) are skipped:
+    the output is prefilled with the bias — a zero row GEMMs to exactly the
+    bias — and only the surviving rows are multiplied.  Gathering preserves
+    each surviving row's reduction order, so both paths are bit-identical to
+    the dense matmul (both routed through :func:`matmul_rowsafe` so a single
+    surviving row still reduces in sgemm order).  Effective-MAC accounting
+    lands in ``ctx``; returns whether the row-gather path ran.
+    """
+    rows = a.shape[0]
+    reduction, width = kernel.weight_t.shape
+    if ctx is not None and ctx.dynamic is not None and ctx.prev_sparsity >= ctx.dynamic.gate:
+        live = a.any(axis=1)
+        live_rows = int(np.count_nonzero(live))
+        if live_rows / rows <= ctx.dynamic.crossover_for(kernel.name):
+            out[:] = kernel.bias
+            if live_rows:
+                out[live] = matmul_rowsafe(a[live], kernel.weight_t) + kernel.bias
+            ctx.dynamic_gemms += 1
+            ctx.effective_macs += live_rows * reduction * width
+            return True
+    matmul_rowsafe(a, kernel.weight_t, out=out)
+    out += kernel.bias
+    if ctx is not None:
+        ctx.effective_macs += rows * reduction * width
+    return False
+
+
+def run_conv_im2col(kernel, x, task, ws, recorder, ctx):
+    """The default conv lowering: im2col → one GEMM → threshold mask.
+
+    im2col gathers rows as runs of ``C_in`` contiguous values from the NHWC
+    source plane, so no strided element-wise copies remain; the GEMM output
+    ``(N·H_out·W_out, C_out)`` *is* the NHWC feature map.  The GEMM takes the
+    dynamic row-gather fast path (:func:`_gemm_with_dynamic_row_gather`)
+    when the run context's gate allows it: im2col rows are spatial output
+    positions, and one whose receptive field is entirely zero is skipped.
+    """
+    n = x.shape[0]
+    c_in = kernel.in_shape[0]
+    c_out, h_out, w_out = kernel.out_shape
+    k, s = kernel.kernel_size, kernel.stride
+    dtype = kernel.weight_t.dtype
+
+    src = _padded_input(kernel, x, ws)
+    rows = n * h_out * w_out
+    reduction = kernel.weight_t.shape[0]
+    cols = ws.get("cols", (rows, reduction), dtype)
+    cols_view = cols.reshape(n, h_out, w_out, k, k, c_in)
+    for ky in range(k):
+        for kx in range(k):
+            cols_view[:, :, :, ky, kx, :] = src[
+                :, ky : ky + s * h_out : s, kx : kx + s * w_out : s, :
+            ]
+
+    out = ws.output(x, (rows, c_out), dtype)
+    used = "dynamic" if _gemm_with_dynamic_row_gather(kernel, cols, out, ctx) else "im2col"
+    if ctx is not None:
+        ctx.dense_macs += n * kernel.dense_macs_per_image
+    record_variant_traffic(recorder, used, *conv_variant_traffic(kernel, n, "im2col"))
+
+    if kernel.mask is not None:
+        gemm = out.reshape(n, h_out * w_out, c_out)
+        apply_threshold_mask(kernel, gemm, task, ws, recorder, ctx, h_out * w_out)
+    elif ctx is not None:
+        ctx.prev_sparsity = 0.0
+    return out.reshape(n, h_out, w_out, c_out)
+
+
+def _linear_epilogue(kernel, out, task, ws, recorder, ctx):
+    if kernel.mask is not None:
+        apply_threshold_mask(kernel, out, task, ws, recorder, ctx, 1)
+    else:
+        if kernel.relu:
+            np.maximum(out, 0.0, out=out)
+        if ctx is not None:
+            ctx.prev_sparsity = 0.0
+
+
+def run_linear_dense(kernel, x, task, ws, recorder, ctx):
+    """The default FC lowering: one GEMM → threshold mask / ReLU.
+
+    Rows are samples here: the dynamic fast path skips samples whose whole
+    feature vector was masked away.
+    """
+    n = x.shape[0]
+    out = ws.output(x, (n, kernel.weight_t.shape[1]), x.dtype)
+    used = "dynamic" if _gemm_with_dynamic_row_gather(kernel, x, out, ctx) else "dense"
+    if ctx is not None:
+        ctx.dense_macs += n * kernel.dense_macs_per_image
+    record_variant_traffic(recorder, used, *linear_variant_traffic(kernel, n, "dense"))
+    _linear_epilogue(kernel, out, task, ws, recorder, ctx)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Convolution variants.
 # ---------------------------------------------------------------------------
-def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="blocked"):
+def run_conv_blocked(kernel, x, task, ws, recorder, ctx):
     """Cache-blocked im2col GEMM with the bias+mask epilogue fused per block.
 
     Bit-identical to the default path: the strip-copied panel equals the
     monolithic im2col matrix and blocking over *images* never splits a GEMM
-    row, so every output element sees the same reduction order.
-
-    With ``panels`` (the ``"packed"`` variant), each block's GEMM runs
-    against the L2-resident weight panels from :func:`packed_weight_panels`
-    instead of streaming the full-width weight matrix — still bit-identical,
-    because the packer only keeps splits proven exact on this host.
+    row, so every output element sees the same reduction order.  Each
+    block's GEMM runs against the L2-resident weight panels from
+    :func:`packed_weight_panels` instead of streaming the full-width weight
+    matrix — still bit-identical, because the packer only keeps splits
+    proven exact on this host.
     """
     n = x.shape[0]
     c_in, _, _ = kernel.in_shape
@@ -549,6 +545,7 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="b
     k, s = kernel.kernel_size, kernel.stride
     dtype = kernel.weight_t.dtype
     src = _padded_input(kernel, x, ws)
+    panels = packed_weight_panels(kernel)
     spi = h_out * w_out
     reduction = kernel.weight_t.shape[0]
     # Round (not floor) to the nearest image count whose panel hits the byte
@@ -576,11 +573,8 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="b
         panel = cols[: nb * spi]
         copy_window_strips(panel, src[b0 : b0 + nb], nb, h_out, w_out, k, s, c_in)
         tile = out[b0 * spi : (b0 + nb) * spi]
-        if panels is None:
-            np.matmul(panel, kernel.weight_t, out=tile)
-        else:
-            for j0, j1, wpanel in panels:
-                np.matmul(panel, wpanel, out=tile[:, j0:j1])
+        for j0, j1, wpanel in panels:
+            np.matmul(panel, wpanel, out=tile[:, j0:j1])
         np.add(tile, kernel.bias, out=tile)
         if kernel.mask is not None:
             gemm = tile.reshape(nb, spi, c_out)
@@ -601,23 +595,19 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="b
     if ctx is not None:
         ctx.effective_macs += n * spi * reduction * c_out
         ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(recorder, variant, *conv_variant_traffic(kernel, n, variant))
-    if kernel.mask is not None:
-        if survival_needed:
-            live = float(channel_live.sum()) if channel_live is not None else float(live_total)
-            report_mask_stats(
-                kernel, task, recorder, ctx, n, spi,
-                channel_live, live, n * spi * c_out,
-            )
-        elif ctx is not None:
-            ctx.prev_sparsity = 0.0
+    record_variant_traffic(recorder, "blocked", *conv_variant_traffic(kernel, n, "blocked"))
+    if kernel.mask is not None and survival_needed:
+        live = float(channel_live.sum()) if channel_live is not None else float(live_total)
+        report_mask_stats(
+            kernel, task, recorder, ctx, n, spi, channel_live, live, n * spi * c_out
+        )
     elif ctx is not None:
         ctx.prev_sparsity = 0.0
     return out.reshape(n, h_out, w_out, c_out)
 
 
 # ---------------------------------------------------------------------------
-# Packed weight panels (the "packed" variant's plan-build-time state).
+# Packed weight panels (the "blocked" variant's plan-build-time state).
 # ---------------------------------------------------------------------------
 def _packed_split_exact(weight_t: np.ndarray, panels: list) -> bool:
     """Build-time proof that a panel split preserves this BLAS's exact bits.
@@ -681,232 +671,19 @@ def packed_weight_panels(kernel) -> list:
     return panels
 
 
-# ---------------------------------------------------------------------------
-# Winograd F(2x2, 3x3).
-# ---------------------------------------------------------------------------
-#: Weight-side Winograd transform ``G`` for F(2x2, 3x3) (``U = G g G^T``).
-#: Its entries are exact dyadic rationals, and the matching input/inverse
-#: transforms ``B^T``/``A^T`` contain only 0/±1 — applied below as explicit
-#: add/subtract combinations, so the only multiplies in the whole variant
-#: are the 16 per-face tile GEMMs.
-_WINO_G = np.array(
-    [[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0.0, 0.0, 1.0]]
-)
-
-
 def winograd_tolerance(dtype) -> Dict[str, float]:
-    """Declared numeric tolerance of the ``winograd`` variant, per dtype.
+    """Declared tolerance of lowerings that reorder float reductions, per dtype.
 
-    The Winograd transforms regroup each output's 9-tap reduction into
-    transformed-domain combinations, so outputs differ from the im2col
-    reduction by accumulated rounding — a few ULP of the arithmetic dtype
-    in practice.  These bounds are the *contract* the differential suite
-    enforces (``np.allclose(..., **winograd_tolerance(dtype))``), declared
-    with safety margin above the observed error rather than at it.
+    ``direct`` regroups each output's reduction into per-tap partial sums and
+    compacted specialization drops dead terms from it, so their outputs
+    differ from the im2col reduction by accumulated rounding — a few ULP of
+    the arithmetic dtype in practice.  These bounds are the *contract*
+    (``np.allclose(..., **winograd_tolerance(dtype))``), declared with
+    safety margin above the observed error.  The name is historical.
     """
     if np.dtype(dtype) == np.float64:
         return {"rtol": 1e-8, "atol": 1e-10}
     return {"rtol": 1e-3, "atol": 1e-5}
-
-
-def winograd_eligible(kernel) -> bool:
-    """F(2x2, 3x3) covers exactly the stride-1 3x3 conv shapes."""
-    return (
-        getattr(kernel, "kind", None) == "conv"
-        and kernel.kernel_size == 3
-        and kernel.stride == 1
-    )
-
-
-def winograd_weights(kernel) -> np.ndarray:
-    """The kernel's pre-transformed ``(16, C_in, C_out)`` Winograd weights.
-
-    ``U = G g G^T`` per (input, output) channel pair, computed once in
-    float64 then cast to the plan dtype and cached on the kernel — plan-
-    build-time state like the int8 payload, but derived: PlanSpec round-trips
-    rebuild it lazily on first run instead of serializing it.
-    """
-    cached = getattr(kernel, "wino", None)
-    if cached is not None:
-        return cached
-    reduction, c_out = kernel.weight_t.shape
-    c_in = reduction // 9
-    g = kernel.weight_t.reshape(3, 3, c_in, c_out).astype(np.float64)
-    u = np.einsum("ij,jkcf,lk->ilcf", _WINO_G, g, _WINO_G)
-    kernel.wino = np.ascontiguousarray(
-        u.reshape(16, c_in, c_out).astype(kernel.weight_t.dtype)
-    )
-    return kernel.wino
-
-
-def run_conv_winograd(kernel, x, task, ws, recorder, ctx):
-    """F(2x2, 3x3) Winograd conv with the fused bias+mask epilogue per block.
-
-    Pipeline per cache block of images: input-transform (``V = B^T d B``) as
-    four whole-plane row passes followed by four strided column passes per
-    row plane — overlapping 4x4 tiles are never gathered, every pass keeps a
-    long contiguous inner axis — run the 16 tile GEMMs as one batched matmul
-    against the cached pre-transformed weights (:func:`winograd_weights`),
-    inverse-transform (``Y = A^T M A``, adds again), scatter the 2x2 output
-    tiles, then apply the same bias + threshold-mask + survival-count
-    epilogue as the blocked path while the block is cache-hot.
-
-    The zero border of the tile plane serves double duty: conv padding and
-    the remainder column/row of odd output dims (partial tiles compute into
-    the border and are cropped at scatter time).  Numeric contract:
-    :func:`winograd_tolerance`.
-    """
-    n = x.shape[0]
-    c_in, h, w = kernel.in_shape
-    c_out, h_out, w_out = kernel.out_shape
-    p = kernel.padding
-    dtype = kernel.weight_t.dtype
-    u = winograd_weights(kernel)
-    th, tw = (h_out + 1) // 2, (w_out + 1) // 2
-    hp, wp = 2 * th + 2, 2 * tw + 2
-    spi = h_out * w_out
-    tiles = th * tw
-
-    if p == 0 and hp == h and wp == w and x.flags["C_CONTIGUOUS"]:
-        src = x
-    else:
-        src = ws.get("wpad", (n, hp, wp, c_in), dtype)
-        zero_border(src, p, h, w)
-        src[:, p : p + h, p : p + w, :] = x
-
-    # Block sizing: unlike the column-panel GEMMs, the 16 face GEMMs stream
-    # one (pb, c_in) face at a time, so only a face pair needs to be
-    # cache-resident — the full V/M/inverse scratch can spill to L3.  Small
-    # blocks are actively harmful here (each transform pass is a cheap
-    # elementwise op whose fixed dispatch cost dominates on short rows), so
-    # the budget is a multiple of the GEMM panel budget.
-    per_image = tiles * (20 * c_in + 25 * c_out) * dtype.itemsize
-    budget = _WINO_BLOCK_BYTES
-    block = max(1, min(n, (budget + per_image // 2) // max(1, per_image)))
-
-    out = ws.output(x, (n * spi, c_out), dtype)
-    out4 = out.reshape(n, h_out, w_out, c_out)
-    # Column-parity split of the padded plane: padded column 2k + p lives at
-    # ``spl[:, :, p, k]``, so a tile-column tap ``c`` (plane column 2*tx + c)
-    # is the contiguous run ``spl[:, :, c & 1, (c >> 1) + tx]`` — both
-    # transform directions then read multi-KB contiguous chunks instead of
-    # stride-2 element pairs.
-    wt2 = tw + 1
-    spl = ws.get("wspl", (block, hp, 2, wt2, c_in), dtype)
-    rbuf = ws.get("wrow", (block, th, 2, wt2, c_in), dtype)
-    vbuf = ws.get("wv", (16, block * tiles, c_in), dtype)
-    mbuf = ws.get("wm", (16, block * tiles, c_out), dtype)
-    sbuf = ws.get("wsum", (2, 4, block * tiles, c_out), dtype)
-    ybuf = ws.get("wy", (block * tiles, c_out), dtype)
-
-    survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
-    need_channels = (
-        recorder is not None and getattr(recorder, "record_channels", None) is not None
-    )
-    thresholds = mask = channel_live = None
-    live_total = 0
-    if kernel.mask is not None:
-        thresholds = task.thresholds[kernel.mask.slot]
-        mask = ws.get("mask", (n, spi, c_out), np.bool_)
-        if need_channels:
-            channel_live = np.zeros(c_out, dtype=np.int64)
-
-    # B^T's rows as (op, minuend tap, subtrahend tap): the four combinations
-    # below applied along tile rows, then identically along tile columns.
-    combos = (
-        (np.subtract, 0, 2),
-        (np.add, 1, 2),
-        (np.subtract, 2, 1),
-        (np.subtract, 1, 3),
-    )
-    for b0 in range(0, n, block):
-        nb = min(n, b0 + block) - b0
-        pb = nb * tiles
-        s = src[b0 : b0 + nb]
-        sp = spl[:nb]
-        sp[:, :, 0] = s[:, :, 0::2]
-        sp[:, :, 1] = s[:, :, 1::2]
-        # Forward transform + face GEMMs, one B^T row plane at a time so
-        # each plane is consumed while still cache-hot.  Row pass: tile
-        # (ty, tx) reads plane rows 2*ty + {0..3}, so each B^T row is one
-        # strided whole-plane pass whose inner axis (a full plane row)
-        # stays contiguous — no per-tile 4x4 gather is ever materialised.
-        # Column pass: the same four combinations along the width; tap
-        # ``c`` addresses parity plane ``c & 1`` at offset ``c >> 1``.
-        # The plane's four face GEMMs then run as one batched matmul
-        # (numerically identical to separate GEMMs, faces are independent).
-        for i, (op, a, b) in enumerate(combos):
-            ri = rbuf[:nb]
-            op(sp[:, a : a + 2 * th : 2], sp[:, b : b + 2 * th : 2], out=ri)
-            for j, (cop, ca, cb) in enumerate(combos):
-                face = vbuf[4 * i + j, :pb].reshape(nb, th, tw, c_in)
-                cop(
-                    ri[:, :, ca & 1, (ca >> 1) : (ca >> 1) + tw],
-                    ri[:, :, cb & 1, (cb >> 1) : (cb >> 1) + tw],
-                    out=face,
-                )
-            np.matmul(
-                vbuf[4 * i : 4 * i + 4, :pb],
-                u[4 * i : 4 * i + 4],
-                out=mbuf[4 * i : 4 * i + 4, :pb],
-            )
-        # Inverse row transform A^T: s0 = M0 + M1 + M2, s1 = M1 - M2 - M3
-        # (face index t = 4*i + j; i is the tile row).
-        for j in range(4):
-            s0, s1 = sbuf[0, j, :pb], sbuf[1, j, :pb]
-            np.add(mbuf[j, :pb], mbuf[4 + j, :pb], out=s0)
-            s0 += mbuf[8 + j, :pb]
-            np.subtract(mbuf[4 + j, :pb], mbuf[8 + j, :pb], out=s1)
-            s1 -= mbuf[12 + j, :pb]
-        # Inverse column transform + scatter; partial edge tiles are cropped.
-        yflat = ybuf[:pb]
-        y = yflat.reshape(nb, th, tw, c_out)
-        for a in range(2):
-            rows_a = (h_out - a + 1) // 2
-            sa = sbuf[a]
-            for b in range(2):
-                cols_b = (w_out - b + 1) // 2
-                if b == 0:
-                    np.add(sa[0, :pb], sa[1, :pb], out=yflat)
-                    yflat += sa[2, :pb]
-                else:
-                    np.subtract(sa[1, :pb], sa[2, :pb], out=yflat)
-                    yflat -= sa[3, :pb]
-                out4[b0 : b0 + nb, a::2, b::2, :] = y[:, :rows_a, :cols_b]
-        tile = out[b0 * spi : (b0 + nb) * spi]
-        np.add(tile, kernel.bias, out=tile)
-        if kernel.mask is not None:
-            gemm = tile.reshape(nb, spi, c_out)
-            tile_mask = mask[b0 : b0 + nb]
-            # Same per-row threshold slicing as the blocked path (mixed-task
-            # batches ship an (n, spi, c) threshold gather).
-            per_row = thresholds.ndim == 3 and thresholds.shape[0] != 1
-            tile_thr = thresholds[b0 : b0 + nb] if per_row else thresholds
-            np.greater_equal(gemm, tile_thr, out=tile_mask)
-            gemm *= tile_mask
-            if channel_live is not None:
-                channel_live += tile_mask.sum(axis=(0, 1), dtype=np.int64)
-            elif survival_needed:
-                live_total += np.count_nonzero(tile_mask)
-
-    if ctx is not None:
-        ctx.effective_macs += n * spi * kernel.weight_t.shape[0] * c_out
-        ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(
-        recorder, "winograd", *conv_variant_traffic(kernel, n, "winograd")
-    )
-    if kernel.mask is not None:
-        if survival_needed:
-            live = float(channel_live.sum()) if channel_live is not None else float(live_total)
-            report_mask_stats(
-                kernel, task, recorder, ctx, n, spi,
-                channel_live, live, n * spi * c_out,
-            )
-        elif ctx is not None:
-            ctx.prev_sparsity = 0.0
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
-    return out.reshape(n, h_out, w_out, c_out)
 
 
 def run_conv_direct(kernel, x, task, ws, recorder, ctx):
@@ -982,8 +759,8 @@ def _refine_conv_int8(kernel, q, x, cols, out, task, ws, n):
     spi = h_out * w_out
     weight_t = kernel.weight_t
     thresholds = task.thresholds[kernel.mask.slot]
-    # float64 accumulation: exact for the int-valued cols of both the float-
-    # container ("int8") and int16 ("int8spd") datapaths — same flagged set.
+    # float64 accumulation: exact for the int-valued cols whatever their
+    # float container, so the flagged set never depends on it.
     row_sumsq = np.einsum("ij,ij->i", cols, cols, dtype=np.float64)
     w_sumsq = np.einsum("ij,ij->j", weight_t, weight_t)
     variance = (q.in_scale ** 2 / 12.0) * (
@@ -1021,51 +798,61 @@ def _refine_conv_int8(kernel, q, x, cols, out, task, ws, n):
     )
 
 
-def run_conv_int8(kernel, x, task, ws, recorder, ctx):
-    """Symmetric int8 convolution: quantize → exact integer GEMM → dequantize.
-
-    The padded plane's interior is quantized in place around a re-zeroed
-    border (0 quantizes to exactly 0), the panel
-    is strip-copied like the blocked path, and the epilogue dequantizes with
-    the fused ``in_scale * w_scale[c]`` factors, adds the float bias,
-    refines near-threshold slots (:func:`_refine_conv_int8`) and masks.
-    Accumulation exactness: see :func:`quantize_gemm`.
-    """
-    q = kernel.quant
-    if q is None:
+def _int8_payload(kernel):
+    if kernel.quant is None:
         raise RuntimeError(
             f"kernel '{kernel.name}' has variant 'int8' but carries no quantized "
             "weights; run quantize_plan_kernels first"
         )
+    return kernel.quant
+
+
+def _quantize_into(x: np.ndarray, q, out: np.ndarray) -> None:
+    np.divide(x, q.in_scale, out=out)
+    np.rint(out, out=out)
+    np.clip(out, -_QMAX, _QMAX, out=out)
+
+
+def _int8_gemm(kernel, q, qx: np.ndarray, out: np.ndarray, ws) -> None:
+    """``out = (qx @ weight_q) * scale + bias``: exact accumulation, then dequant."""
+    if q.weight_q.dtype == out.dtype:
+        np.matmul(qx, q.weight_q, out=out)
+        np.multiply(out, q.scale, out=out)
+    else:
+        wide = ws.get("qacc", out.shape, q.weight_q.dtype)
+        np.matmul(qx, q.weight_q, out=wide)
+        np.multiply(wide, q.scale, out=wide)
+        out[:] = wide
+    np.add(out, kernel.bias, out=out)
+
+
+def run_conv_int8(kernel, x, task, ws, recorder, ctx):
+    """Symmetric int8 convolution: quantize → exact integer GEMM → dequantize.
+
+    The padded plane's interior is quantized in place around a re-zeroed
+    border (0 quantizes to exactly 0), the panel is strip-copied like the
+    blocked path, and the epilogue dequantizes with
+    the fused ``in_scale * w_scale[c]`` factors, adds the float bias,
+    refines near-threshold slots (:func:`_refine_conv_int8`) and masks.
+    Accumulation exactness: see :func:`quantize_gemm`.
+    """
+    q = _int8_payload(kernel)
     n = x.shape[0]
     c_in, h, w = kernel.in_shape
     c_out, h_out, w_out = kernel.out_shape
     k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
-    dtype = kernel.weight_t.dtype
     acc_dtype = q.weight_q.dtype
-    h2, w2 = h + 2 * p, w + 2 * p
-    qplane = ws.get("qpad", (n, h2, w2, c_in), acc_dtype)
+    qplane = ws.get("qpad", (n, h + 2 * p, w + 2 * p, c_in), acc_dtype)
     zero_border(qplane, p, h, w)
-    interior = qplane[:, p : p + h, p : p + w, :]
-    np.divide(x, q.in_scale, out=interior)
-    np.rint(interior, out=interior)
-    np.clip(interior, -_QMAX, _QMAX, out=interior)
+    _quantize_into(x, q, qplane[:, p : p + h, p : p + w, :])
 
     spi = h_out * w_out
     rows = n * spi
     reduction = q.weight_q.shape[0]
     cols = ws.get("qcols", (rows, reduction), acc_dtype)
     copy_window_strips(cols, qplane, n, h_out, w_out, k, s, c_in)
-    out = ws.output(x, (rows, c_out), dtype)
-    if acc_dtype == dtype:
-        np.matmul(cols, q.weight_q, out=out)
-        np.multiply(out, q.scale, out=out)
-    else:
-        wide = ws.get("qacc", (rows, c_out), acc_dtype)
-        np.matmul(cols, q.weight_q, out=wide)
-        np.multiply(wide, q.scale, out=wide)
-        out[:] = wide
-    np.add(out, kernel.bias, out=out)
+    out = ws.output(x, (rows, c_out), kernel.weight_t.dtype)
+    _int8_gemm(kernel, q, cols, out, ws)
 
     if ctx is not None:
         ctx.effective_macs += rows * reduction * c_out
@@ -1080,245 +867,9 @@ def run_conv_int8(kernel, x, task, ws, recorder, ctx):
 
 
 # ---------------------------------------------------------------------------
-# The genuine int8 speed datapath ("int8spd").
-# ---------------------------------------------------------------------------
-def int8_datapath_beats_float(
-    rows: int = 256, depth: int = 576, width: int = 64, repeats: int = 3
-) -> bool:
-    """Does this host's wide-integer matmul beat float32 BLAS?  Probed once.
-
-    ``int8spd`` only pays off where the integer einsum outruns the float
-    GEMM it replaces (it is a wash or worse on hosts whose BLAS saturates
-    memory bandwidth with float32 already).  The chooser consults this probe
-    — one representative GEMM shape, best-of-``repeats``, cached in
-    :data:`_INT8SPD_WINS` for the life of the process — so ineligible hosts
-    never even time the variant.  Plans *shipped* with ``int8spd`` choices
-    (via PlanSpec) still run it: eligibility gates choosing, not executing.
-    """
-    global _INT8SPD_WINS
-    if _INT8SPD_WINS is not None:
-        return _INT8SPD_WINS
-    rng = np.random.default_rng(0)
-    qa = rng.integers(-127, 128, size=(rows, depth), dtype=np.int16)
-    qb = rng.integers(-127, 128, size=(depth, width), dtype=np.int16)
-    acc = np.empty((rows, width), np.int32)
-    fa, fb = qa.astype(np.float32), qb.astype(np.float32)
-    fc = np.empty((rows, width), np.float32)
-    int_best = float_best = float("inf")
-    for _ in range(repeats + 1):  # round 0 doubles as warm-up
-        start = time.perf_counter()
-        np.einsum("ij,jk->ik", qa, qb, out=acc, dtype=np.int32, casting="unsafe")
-        int_best = min(int_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        np.matmul(fa, fb, out=fc)
-        float_best = min(float_best, time.perf_counter() - start)
-    _INT8SPD_WINS = bool(int_best < float_best)
-    return _INT8SPD_WINS
-
-
-def _int8_weight_qi(q) -> np.ndarray:
-    """The quant payload's contiguous int16 weight rows, derived if absent."""
-    wqi = getattr(q, "weight_qi", None)
-    if wqi is None:
-        # Plan rebuilt from a pre-v3 PlanSpec payload: derive the packed
-        # integer rows once from the float container (values are ±127 ints).
-        wqi = np.ascontiguousarray(q.weight_q.astype(np.int16))
-        q.weight_qi = wqi
-    return wqi
-
-
-def _int8_accumulate(qx: np.ndarray, wqi: np.ndarray, acc: np.ndarray) -> None:
-    """``acc[int32] = qx[int16] @ wqi[int16]`` — exact, panel-bounded depth."""
-    reduction = wqi.shape[0]
-    if reduction <= _INT8SPD_PANEL_ROWS:
-        np.einsum("ij,jk->ik", qx, wqi, out=acc, dtype=np.int32, casting="unsafe")
-        return
-    partial = np.empty_like(acc)
-    for k0 in range(0, reduction, _INT8SPD_PANEL_ROWS):
-        k1 = min(reduction, k0 + _INT8SPD_PANEL_ROWS)
-        target = acc if k0 == 0 else partial
-        np.einsum(
-            "ij,jk->ik", qx[:, k0:k1], wqi[k0:k1], out=target,
-            dtype=np.int32, casting="unsafe",
-        )
-        if k0:
-            acc += partial
-
-
-def _int8_dequantize(kernel, q, acc, out, ws):
-    """Shared dequant epilogue: int32 accumulator → scaled float + bias.
-
-    Mirrors the float-container path's operation sequence exactly (same
-    wide-dtype staging, same multiply/cast order), which is what makes
-    ``int8spd`` bit-identical to ``int8``: both start from the same exact
-    integer accumulation and run the same float ops from there.
-    """
-    dtype = kernel.weight_t.dtype
-    acc_dtype = q.weight_q.dtype
-    if acc_dtype == dtype:
-        out[:] = acc
-        np.multiply(out, q.scale, out=out)
-    else:
-        wide = ws.get("qacc", out.shape, acc_dtype)
-        wide[:] = acc
-        np.multiply(wide, q.scale, out=wide)
-        out[:] = wide
-    np.add(out, kernel.bias, out=out)
-
-
-def run_conv_int8spd(kernel, x, task, ws, recorder, ctx):
-    """int8 conv on the integer datapath (bit-identical to ``"int8"``).
-
-    Same quantize → exact accumulation → dequantize → refine → mask pipeline
-    as :func:`run_conv_int8`, but the column panel is narrowed to contiguous
-    ``int16`` rows and the inner product runs as a wide-integer einsum into
-    an ``int32`` accumulator (:func:`_int8_accumulate`) instead of a float-
-    container GEMM.  Both accumulations are exact over the same integers and
-    the dequant/refine epilogue is shared, so outputs match bit for bit —
-    the variants differ only in which execution units do the work.
-    """
-    q = kernel.quant
-    if q is None:
-        raise RuntimeError(
-            f"kernel '{kernel.name}' has variant 'int8spd' but carries no quantized "
-            "weights; run quantize_plan_kernels first"
-        )
-    wqi = _int8_weight_qi(q)
-    n = x.shape[0]
-    c_in, h, w = kernel.in_shape
-    c_out, h_out, w_out = kernel.out_shape
-    k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
-    dtype = kernel.weight_t.dtype
-    acc_dtype = q.weight_q.dtype
-    h2, w2 = h + 2 * p, w + 2 * p
-    # Quantize in a float plane (rint needs a float out), then narrow the
-    # whole plane to int16 — the layout the integer inner product streams.
-    qplane = ws.get("qpad", (n, h2, w2, c_in), acc_dtype)
-    zero_border(qplane, p, h, w)
-    interior = qplane[:, p : p + h, p : p + w, :]
-    np.divide(x, q.in_scale, out=interior)
-    np.rint(interior, out=interior)
-    np.clip(interior, -_QMAX, _QMAX, out=interior)
-    qiplane = ws.get("qipad", (n, h2, w2, c_in), np.int16)
-    np.copyto(qiplane, qplane, casting="unsafe")
-
-    spi = h_out * w_out
-    rows = n * spi
-    cols = ws.get("qicols", (rows, wqi.shape[0]), np.int16)
-    copy_window_strips(cols, qiplane, n, h_out, w_out, k, s, c_in)
-    acc = ws.get("qiacc", (rows, c_out), np.int32)
-    _int8_accumulate(cols, wqi, acc)
-    out = ws.output(x, (rows, c_out), dtype)
-    _int8_dequantize(kernel, q, acc, out, ws)
-
-    if ctx is not None:
-        ctx.effective_macs += rows * wqi.shape[0] * c_out
-        ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(
-        recorder, "int8spd", *conv_variant_traffic(kernel, n, "int8spd")
-    )
-    if kernel.mask is not None:
-        _refine_conv_int8(kernel, q, x, cols, out, task, ws, n)
-        apply_threshold_mask(kernel, out.reshape(n, spi, c_out), task, ws, recorder, ctx, spi)
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
-    return out.reshape(n, h_out, w_out, c_out)
-
-
-def run_conv_variant(kernel, x, task, ws, recorder, ctx):
-    variant = kernel.variant
-    if variant == "blocked":
-        return run_conv_blocked(kernel, x, task, ws, recorder, ctx)
-    if variant == "packed":
-        return run_conv_blocked(
-            kernel, x, task, ws, recorder, ctx,
-            panels=packed_weight_panels(kernel), variant="packed",
-        )
-    if variant == "direct":
-        return run_conv_direct(kernel, x, task, ws, recorder, ctx)
-    if variant == "winograd":
-        return run_conv_winograd(kernel, x, task, ws, recorder, ctx)
-    if variant == "int8":
-        return run_conv_int8(kernel, x, task, ws, recorder, ctx)
-    if variant == "int8spd":
-        return run_conv_int8spd(kernel, x, task, ws, recorder, ctx)
-    raise ValueError(f"unknown conv variant '{variant}' on kernel '{kernel.name}'")
-
-
-# ---------------------------------------------------------------------------
 # Fully-connected variants.
 # ---------------------------------------------------------------------------
-def _linear_epilogue(kernel, out, task, ws, recorder, ctx, n):
-    if kernel.mask is not None:
-        apply_threshold_mask(kernel, out, task, ws, recorder, ctx, 1)
-    else:
-        if kernel.relu:
-            np.maximum(out, 0.0, out=out)
-        if ctx is not None:
-            ctx.prev_sparsity = 0.0
-
-
-def run_linear_blocked(kernel, x, task, ws, recorder, ctx, panels=None, variant="blocked"):
-    """Row-blocked FC GEMM with the bias+mask epilogue fused per block.
-
-    Sample rows are independent, so blocking them never regroups a
-    reduction: bit-identical to the dense path.  With ``panels`` (the
-    ``"packed"`` variant) each block multiplies against the L2-resident
-    weight panels — see :func:`packed_weight_panels`, still bit-identical
-    (the packer only keeps splits proven exact on this host).
-    """
-    n = x.shape[0]
-    reduction, width = kernel.weight_t.shape
-    dtype = kernel.weight_t.dtype
-    out = ws.output(x, (n, width), dtype)
-    block = max(1, _COLS_BLOCK_BYTES // max(1, reduction * dtype.itemsize))
-    thresholds = task.thresholds[kernel.mask.slot] if kernel.mask is not None else None
-    survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
-    mask = channel_live = None
-    if kernel.mask is not None:
-        mask = ws.get("mask", (n, width), np.bool_)
-        if survival_needed:
-            channel_live = np.zeros(width, dtype=np.int64)
-    for b0 in range(0, n, block):
-        b1 = min(n, b0 + block)
-        tile = out[b0:b1]
-        if panels is None:
-            matmul_rowsafe(x[b0:b1], kernel.weight_t, out=tile)
-        else:
-            for j0, j1, wpanel in panels:
-                matmul_rowsafe(x[b0:b1], wpanel, out=tile[:, j0:j1])
-        np.add(tile, kernel.bias, out=tile)
-        if kernel.mask is not None:
-            tile_mask = mask[b0:b1]
-            # Per-row thresholds (mixed-task batches) are (n, width); the
-            # single-task layouts ((1, width), or broadcastable (width,))
-            # broadcast over every row block unsliced.
-            per_row = thresholds.ndim == 2 and thresholds.shape[0] != 1
-            tile_thr = thresholds[b0:b1] if per_row else thresholds
-            np.greater_equal(tile, tile_thr, out=tile_mask)
-            tile *= tile_mask
-            if channel_live is not None:
-                channel_live += tile_mask.sum(axis=0, dtype=np.int64)
-        elif kernel.relu:
-            np.maximum(tile, 0.0, out=tile)
-    if ctx is not None:
-        ctx.effective_macs += n * reduction * width
-        ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(recorder, variant, *linear_variant_traffic(kernel, n, variant))
-    if kernel.mask is not None:
-        if survival_needed:
-            report_mask_stats(
-                kernel, task, recorder, ctx, n, 1,
-                channel_live, float(channel_live.sum()), n * width,
-            )
-        elif ctx is not None:
-            ctx.prev_sparsity = 0.0
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
-    return out
-
-
-def _refine_linear_int8(kernel, q, x, qx, out, task, n):
+def _refine_linear_int8(kernel, q, x, qx, out, task):
     """FC counterpart of :func:`_refine_conv_int8` (float input is at hand)."""
     weight_t = kernel.weight_t
     thresholds = task.thresholds[kernel.mask.slot]
@@ -1338,93 +889,62 @@ def _refine_linear_int8(kernel, q, x, qx, out, task, n):
 
 def run_linear_int8(kernel, x, task, ws, recorder, ctx):
     """Symmetric int8 FC layer (same contract as :func:`run_conv_int8`)."""
-    q = kernel.quant
-    if q is None:
-        raise RuntimeError(
-            f"kernel '{kernel.name}' has variant 'int8' but carries no quantized "
-            "weights; run quantize_plan_kernels first"
-        )
+    q = _int8_payload(kernel)
     n = x.shape[0]
     reduction, width = q.weight_q.shape
-    dtype = kernel.weight_t.dtype
-    acc_dtype = q.weight_q.dtype
-    qx = ws.get("qin", (n, reduction), acc_dtype)
-    np.divide(x, q.in_scale, out=qx)
-    np.rint(qx, out=qx)
-    np.clip(qx, -_QMAX, _QMAX, out=qx)
-    out = ws.output(x, (n, width), dtype)
-    if acc_dtype == dtype:
-        np.matmul(qx, q.weight_q, out=out)
-        np.multiply(out, q.scale, out=out)
-    else:
-        wide = ws.get("qacc", (n, width), acc_dtype)
-        np.matmul(qx, q.weight_q, out=wide)
-        np.multiply(wide, q.scale, out=wide)
-        out[:] = wide
-    np.add(out, kernel.bias, out=out)
+    qx = ws.get("qin", (n, reduction), q.weight_q.dtype)
+    _quantize_into(x, q, qx)
+    out = ws.output(x, (n, width), kernel.weight_t.dtype)
+    _int8_gemm(kernel, q, qx, out, ws)
     if ctx is not None:
         ctx.effective_macs += n * reduction * width
         ctx.dense_macs += n * kernel.dense_macs_per_image
     record_variant_traffic(recorder, "int8", *linear_variant_traffic(kernel, n, "int8"))
     if kernel.mask is not None:
-        _refine_linear_int8(kernel, q, x, qx, out, task, n)
-    _linear_epilogue(kernel, out, task, ws, recorder, ctx, n)
+        _refine_linear_int8(kernel, q, x, qx, out, task)
+    _linear_epilogue(kernel, out, task, ws, recorder, ctx)
     return out
 
 
-def run_linear_int8spd(kernel, x, task, ws, recorder, ctx):
-    """int8 FC on the integer datapath (bit-identical to ``"int8"``).
+# ---------------------------------------------------------------------------
+# One {name: runner} table per kernel kind, default first.
+# ---------------------------------------------------------------------------
+_CONV_RUNNERS = {
+    "im2col": run_conv_im2col,
+    "blocked": run_conv_blocked,
+    "direct": run_conv_direct,
+    "int8": run_conv_int8,
+}
+_LINEAR_RUNNERS = {
+    "dense": run_linear_dense,
+    "int8": run_linear_int8,
+}
+_RUNNERS = {"conv": _CONV_RUNNERS, "linear": _LINEAR_RUNNERS}
+CONV_VARIANTS = tuple(_CONV_RUNNERS)
+LINEAR_VARIANTS = tuple(_LINEAR_RUNNERS)
 
-    FC counterpart of :func:`run_conv_int8spd`: int16 activation rows, wide-
-    integer accumulation, shared dequant/refine epilogue.
+
+def run_variant(kernel, x, task, ws, recorder, ctx):
+    """Run a conv/FC kernel through its variant's runner.
+
+    Float variants defer to the default lowering whenever the dynamic gate is
+    armed and the previous layer's sparsity cleared it, so the row-gather
+    fast path (and its bit-exactness) holds whichever variant the chooser
+    picked.
     """
-    q = kernel.quant
-    if q is None:
-        raise RuntimeError(
-            f"kernel '{kernel.name}' has variant 'int8spd' but carries no quantized "
-            "weights; run quantize_plan_kernels first"
-        )
-    wqi = _int8_weight_qi(q)
-    n = x.shape[0]
-    reduction, width = wqi.shape
-    dtype = kernel.weight_t.dtype
-    acc_dtype = q.weight_q.dtype
-    qf = ws.get("qin", (n, reduction), acc_dtype)
-    np.divide(x, q.in_scale, out=qf)
-    np.rint(qf, out=qf)
-    np.clip(qf, -_QMAX, _QMAX, out=qf)
-    qx = ws.get("qiin", (n, reduction), np.int16)
-    np.copyto(qx, qf, casting="unsafe")
-    acc = ws.get("qiacc", (n, width), np.int32)
-    _int8_accumulate(qx, wqi, acc)
-    out = ws.output(x, (n, width), dtype)
-    _int8_dequantize(kernel, q, acc, out, ws)
-    if ctx is not None:
-        ctx.effective_macs += n * reduction * width
-        ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(
-        recorder, "int8spd", *linear_variant_traffic(kernel, n, "int8spd")
-    )
-    if kernel.mask is not None:
-        _refine_linear_int8(kernel, q, x, qx, out, task, n)
-    _linear_epilogue(kernel, out, task, ws, recorder, ctx, n)
-    return out
-
-
-def run_linear_variant(kernel, x, task, ws, recorder, ctx):
+    if recorder is not None:
+        record_range = getattr(recorder, "record_range", None)
+        if record_range is not None:
+            record_range(task.name, kernel.name, float(np.abs(x).max()))
+    runners = _RUNNERS[kernel.kind]
     variant = kernel.variant
-    if variant == "blocked":
-        return run_linear_blocked(kernel, x, task, ws, recorder, ctx)
-    if variant == "packed":
-        return run_linear_blocked(
-            kernel, x, task, ws, recorder, ctx,
-            panels=packed_weight_panels(kernel), variant="packed",
-        )
-    if variant == "int8":
-        return run_linear_int8(kernel, x, task, ws, recorder, ctx)
-    if variant == "int8spd":
-        return run_linear_int8spd(kernel, x, task, ws, recorder, ctx)
-    raise ValueError(f"unknown linear variant '{variant}' on kernel '{kernel.name}'")
+    dynamic = ctx.dynamic if ctx is not None else None
+    if variant != "int8" and dynamic is not None and ctx.prev_sparsity >= dynamic.gate:
+        variant = next(iter(runners))  # the default lowering
+    runner = runners.get(variant)
+    if runner is None:
+        raise ValueError(f"unknown {kernel.kind} variant '{variant}' on kernel '{kernel.name}'")
+    return runner(kernel, x, task, ws, recorder, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -1453,10 +973,6 @@ class QuantizedGemm:
     w_scale: np.ndarray  # (C_out,)
     in_scale: float
     scale: np.ndarray  # (C_out,) = in_scale * w_scale
-    #: The same integer weights packed as contiguous int16 rows — the layout
-    #: the ``int8spd`` datapath streams.  Optional for backward compatibility
-    #: with pre-v3 PlanSpec payloads; derived lazily when absent.
-    weight_qi: Optional[np.ndarray] = None
 
 
 def quantize_gemm(weight_t: np.ndarray, in_absmax: float, margin: float = 1.05) -> QuantizedGemm:
@@ -1481,7 +997,6 @@ def quantize_gemm(weight_t: np.ndarray, in_absmax: float, margin: float = 1.05) 
         w_scale=w_scale.astype(dtype),
         in_scale=in_scale,
         scale=(w_scale * in_scale).astype(dtype),
-        weight_qi=np.ascontiguousarray(weight_q.astype(np.int16)),
     )
 
 
@@ -1536,34 +1051,17 @@ def quantize_plan_kernels(
 def variant_candidates(kernel) -> Sequence[str]:
     """Every variant ``kernel`` is eligible to run, default first.
 
-    Shape gates: ``direct`` needs stride 1, ``winograd`` needs a stride-1
-    3x3 (:func:`winograd_eligible`), the int8 variants need an attached
-    quant payload, and ``int8spd`` additionally requires the host's integer
-    datapath to beat float32 (:func:`int8_datapath_beats_float`) — there is
-    no point letting the chooser time a variant that cannot win here.
+    Reads the kind's runner table; shape gates: ``direct`` needs stride 1,
+    ``int8`` needs an attached quant payload.  Kernels without a table
+    (pooling, flatten, scatter) have no candidates.
     """
-    kind = getattr(kernel, "kind", None)
-    if kind == "conv":
-        candidates = ["im2col", "blocked", "packed"]
-        if kernel.stride == 1:
-            candidates.append("direct")
-        if winograd_eligible(kernel):
-            candidates.append("winograd")
-        if getattr(kernel, "quant", None) is not None:
-            candidates.append("int8")
-            if int8_datapath_beats_float():
-                candidates.append("int8spd")
-        return candidates
-    if kind == "linear":
-        candidates = ["dense", "blocked", "packed"]
-        if getattr(kernel, "quant", None) is not None:
-            candidates.append("int8")
-            if int8_datapath_beats_float():
-                candidates.append("int8spd")
-        return candidates
-    if kind == "pool":
-        return list(POOL_VARIANTS)
-    return ()
+    runners = _RUNNERS.get(getattr(kernel, "kind", None), {})
+    quantized = getattr(kernel, "quant", None) is not None
+    return [
+        name
+        for name in runners
+        if (name != "direct" or kernel.stride == 1) and (name != "int8" or quantized)
+    ]
 
 
 def set_kernel_variant(kernel, variant: str) -> None:
@@ -1586,12 +1084,12 @@ def force_kernel_variant(plan, variant: str) -> Dict[str, str]:
     runnable.  Conv/linear naming is unified: forcing ``"im2col"`` resets
     FC kernels to their ``"dense"`` default and vice versa.
     """
-    aliases = {"im2col": {"linear": "dense"}, "dense": {"conv": "im2col"}}
+    defaults = (CONV_VARIANTS[0], LINEAR_VARIANTS[0])
     chosen: Dict[str, str] = {}
     for kernel in plan.kernels:
-        kind = getattr(kernel, "kind", None)
-        wanted = aliases.get(variant, {}).get(kind, variant)
-        if wanted in variant_candidates(kernel):
+        candidates = variant_candidates(kernel)
+        wanted = candidates[0] if variant in defaults and candidates else variant
+        if wanted in candidates:
             kernel.variant = wanted
             chosen[kernel.name] = wanted
     plan.kernel_choices = dict(chosen)
@@ -1681,7 +1179,7 @@ def kernel_timing_key(kernel, variant: str, batch: int, dtype) -> tuple:
     conv geometry, the *current* weight shape (so dead-channel compaction
     yields a different key than the dense layer), mask presence (the fused
     epilogue is part of the measurement), arithmetic dtype, and the quant
-    container dtype for int8 variants.  Deliberately excludes weight values
+    container dtype for the int8 variant.  Deliberately excludes weight values
     and kernel names: timings are value-independent, which is what lets one
     measurement serve every task's plan with the same shapes.
     """
@@ -1691,10 +1189,8 @@ def kernel_timing_key(kernel, variant: str, batch: int, dtype) -> tuple:
             "conv", kernel.in_shape, kernel.out_shape, kernel.weight_t.shape,
             kernel.kernel_size, kernel.stride, kernel.padding,
         )
-    elif kind == "linear":
-        geom = ("linear", kernel.weight_t.shape)
     else:
-        geom = (kind, kernel.out_shape, kernel.kernel_size, kernel.stride)
+        geom = (kind, kernel.weight_t.shape)
     quant = getattr(kernel, "quant", None)
     quant_sig = str(quant.weight_q.dtype) if quant is not None else None
     return (
@@ -1758,16 +1254,11 @@ def autotune_kernel_variants(
             else:
                 to_time.append((variant, key))
         if to_time:
-            kind = kernel.kind
-            if kind == "conv":
+            if kernel.kind == "conv":
                 c_in, h, w = kernel.in_shape
                 shape = (batch, h, w, c_in)
-            elif kind == "linear":
+            else:
                 shape = (batch, kernel.weight_t.shape[0])
-            else:  # pool: reconstruct the input geometry from the output shape
-                c, h_out, w_out = kernel.out_shape
-                k, s = kernel.kernel_size, kernel.stride
-                shape = (batch, (h_out - 1) * s + k, (w_out - 1) * s + k, c)
             # Per-kernel seeding keeps the synthetic input deterministic no
             # matter which other kernels resolved from the cache.
             rng = np.random.default_rng((seed, kernel.index))

@@ -140,74 +140,25 @@ class RunContext:
 # ---------------------------------------------------------------------------
 # Fused kernels.
 # ---------------------------------------------------------------------------
-#: Shared mask step of the fused GEMM kernels — the implementation (and the
-#: per-block fused form the cache-blocked variants use) lives in
-#: :mod:`repro.engine.kernels` so every variant feeds the same sparsity
-#: reporting tail.  Re-exported under the historical name.
-_apply_threshold_mask = _kernels.apply_threshold_mask
-
-
-def _gemm_with_dynamic_row_gather(kernel, a: np.ndarray, out: np.ndarray, ctx) -> None:
-    """``out = a @ kernel.weight_t + kernel.bias``, row-gathered when it pays.
-
-    When the run context's gate says the previous masked layer was sparse
-    enough, rows of ``a`` that are entirely zero (a receptive field the
-    previous mask killed completely, or a fully-masked sample) are skipped:
-    the output is prefilled with the bias — a zero row GEMMs to exactly the
-    bias — and only the surviving rows are multiplied.  Gathering preserves
-    each surviving row's reduction order, so both paths are bit-identical to
-    the dense matmul (both routed through
-    :func:`~repro.engine.kernels.matmul_rowsafe` so a single surviving row
-    still reduces in sgemm order).  Effective-MAC accounting lands in
-    ``ctx``.
-    """
-    rows = a.shape[0]
-    reduction, width = kernel.weight_t.shape
-    if ctx is not None and ctx.dynamic is not None and ctx.prev_sparsity >= ctx.dynamic.gate:
-        live = a.any(axis=1)
-        live_rows = int(np.count_nonzero(live))
-        if live_rows / rows <= ctx.dynamic.crossover_for(kernel.name):
-            out[:] = kernel.bias
-            if live_rows:
-                out[live] = _kernels.matmul_rowsafe(a[live], kernel.weight_t) + kernel.bias
-            ctx.dynamic_gemms += 1
-            ctx.effective_macs += live_rows * reduction * width
-            return
-    _kernels.matmul_rowsafe(a, kernel.weight_t, out=out)
-    out += kernel.bias
-    if ctx is not None:
-        ctx.effective_macs += rows * reduction * width
-
-
 class ConvGemmMaskKernel:
-    """Fused convolution: im2col → GEMM → (optional) threshold mask.
+    """Fused convolution: GEMM → (optional) threshold mask.
 
     Activations flow through in contiguous channels-last NHWC layout: the
     weight matrix is pre-reordered to ``(K·K·C_in, C_out)`` so the GEMM output
     ``(N·H_out·W_out, C_out)`` *is* the NHWC feature map, and the per-task
     thresholds are pre-transposed into the same layout.  BatchNorm, when
     present in the source network, is already folded into
-    ``weight_t``/``bias``; im2col gathers rows as runs of ``C_in`` contiguous
-    values, so no strided element-wise copies remain.
+    ``weight_t``/``bias``.
 
-    **Dynamic sparse fast path** — when the run context says the previous
-    masked layer's measured batch sparsity cleared the configured gate, the
-    kernel checks which im2col rows (spatial output positions) have an
-    entirely-zero receptive field.  If the live fraction is below the
-    per-layer crossover it gathers the surviving rows, GEMMs the compacted
-    matrix, and scatters the results back over a bias-filled output (a zero
-    row's GEMM output is exactly the bias).  Row gathering leaves each
-    surviving row's reduction untouched, so the fast path is bit-identical to
-    the dense GEMM.
-
-    **Variants** — ``self.variant`` selects among the lowerings in
-    :mod:`repro.engine.kernels` (``"im2col"`` default, ``"blocked"``,
-    ``"packed"``, ``"direct"``, ``"winograd"``, ``"int8"``, ``"int8spd"``);
-    see that module for the exactness contract of each.  The
-    float-arithmetic variants defer to this path whenever the
-    dynamic gate is armed and the previous layer's sparsity cleared it, so
-    the row-gather fast path (and its bit-exactness) is preserved no matter
-    which variant the chooser picked.
+    **Variants** — ``self.variant`` selects one of
+    :data:`~repro.engine.kernels.CONV_VARIANTS` (``"im2col"`` default,
+    ``"blocked"``, ``"direct"``, ``"int8"``); see :mod:`repro.engine.kernels`
+    for the exactness contract of each.  **Dynamic sparse fast path** — when
+    the run context says the previous masked layer's measured batch sparsity
+    cleared the configured gate, the float variants run ``im2col``, which
+    skips im2col rows (spatial output positions) whose receptive field is
+    entirely zero: bit-identical to the dense GEMM, whichever variant the
+    chooser picked.
     """
 
     kind = "conv"
@@ -249,72 +200,24 @@ class ConvGemmMaskKernel:
         self.dense_channels = dense_channels if dense_channels is not None else weight_t.shape[1]
         #: Execution variant (see repro.engine.kernels) and optional int8
         #: quantization payload; both are plan-construction-time state, set
-        #: by the chooser/quantizer before serving starts.  ``wino`` and
-        #: ``packed`` cache derived per-variant weight layouts (Winograd
-        #: transform / L2 column panels), built lazily on first use.
+        #: by the chooser/quantizer before serving starts.  ``packed`` caches
+        #: the ``blocked`` variant's L2 weight column panels, built lazily on
+        #: first use.
         self.variant = "im2col"
         self.quant = None
-        self.wino = None
         self.packed = None
 
     def run(self, x: np.ndarray, task: "TaskPlan", ws: WorkspacePool, recorder, ctx=None) -> np.ndarray:
-        if recorder is not None:
-            record_range = getattr(recorder, "record_range", None)
-            if record_range is not None:
-                record_range(task.name, self.name, float(np.abs(x).max()))
-        variant = self.variant
-        if variant != "im2col" and (
-            variant in ("int8", "int8spd")
-            or ctx is None
-            or ctx.dynamic is None
-            or ctx.prev_sparsity < ctx.dynamic.gate
-        ):
-            return _kernels.run_conv_variant(self, x, task, ws, recorder, ctx)
-        n = x.shape[0]
-        c_in = self.in_shape[0]
-        c_out, h_out, w_out = self.out_shape
-        k, s = self.kernel_size, self.stride
-        dtype = self.weight_t.dtype
-
-        src = _kernels._padded_input(self, x, ws)
-        rows = n * h_out * w_out
-        reduction = self.weight_t.shape[0]
-        cols = ws.get("cols", (rows, reduction), dtype)
-        cols_view = cols.reshape(n, h_out, w_out, k, k, c_in)
-        for ky in range(k):
-            for kx in range(k):
-                cols_view[:, :, :, ky, kx, :] = src[
-                    :, ky : ky + s * h_out : s, kx : kx + s * w_out : s, :
-                ]
-
-        out = ws.output(x, (rows, c_out), dtype)
-        dynamic_before = ctx.dynamic_gemms if ctx is not None else 0
-        _gemm_with_dynamic_row_gather(self, cols, out, ctx)
-        if ctx is not None:
-            ctx.dense_macs += n * self.dense_macs_per_image
-        used = "dynamic" if ctx is not None and ctx.dynamic_gemms > dynamic_before else "im2col"
-        _kernels.record_variant_traffic(
-            recorder, used, *_kernels.conv_variant_traffic(self, n, "im2col")
-        )
-
-        if self.mask is not None:
-            gemm = out.reshape(n, h_out * w_out, c_out)
-            _apply_threshold_mask(self, gemm, task, ws, recorder, ctx, h_out * w_out)
-        elif ctx is not None:
-            ctx.prev_sparsity = 0.0
-        return out.reshape(n, h_out, w_out, c_out)
+        return _kernels.run_variant(self, x, task, ws, recorder, ctx)
 
 
 class MaxPoolKernel:
     """Stateless max pooling over contiguous NHWC inputs.
 
-    Two bit-identical variants: ``"reshape"`` (default — reshape-reduce when
-    windows are aligned and non-overlapping, strided-view maximum cascade
-    otherwise) and ``"views"`` (always the cascade, which reads each input
-    element once through ``k*k`` contiguous views and is the faster of the
-    two on this machine — the chooser picks per layer).  Overlapping pools
-    (stride < kernel) always take the cascade, whose shifted views revisit
-    shared elements per tap.
+    One path for every geometry: a cascade of ``np.maximum`` over the
+    ``k*k`` strided window views, each read as contiguous channel runs.  It
+    handles aligned, unaligned and overlapping (stride < kernel) windows
+    alike, and maxima are exact, so any evaluation order gives the same bits.
     """
 
     kind = "pool"
@@ -332,7 +235,6 @@ class MaxPoolKernel:
         self.kernel_size = kernel_size
         self.stride = stride
         self.out_shape = out_shape  # (C, H_out, W_out) — per-sample, paper convention
-        self.variant = "reshape"
 
     def run(self, x: np.ndarray, task: "TaskPlan", ws: WorkspacePool, recorder, ctx=None) -> np.ndarray:
         n, c = x.shape[0], x.shape[3]
@@ -341,28 +243,14 @@ class MaxPoolKernel:
         # stream (a specialized plan's compacted width arrives via x).
         h_out, w_out = self.out_shape[1], self.out_shape[2]
         out = ws.output(x, (n, h_out, w_out, c), x.dtype)
-        if (
-            self.variant == "reshape"
-            and s == k
-            and x.shape[1] == k * h_out
-            and x.shape[2] == k * w_out
-        ):
-            # Non-overlapping aligned pooling (the VGG case): a reshape view
-            # keeps the reduction reading contiguous channel runs.
-            np.max(x.reshape(n, h_out, k, w_out, k, c), axis=(2, 4), out=out)
-        else:
-            first = True
-            for ky in range(k):
-                for kx in range(k):
-                    window = x[:, ky : ky + s * h_out : s, kx : kx + s * w_out : s, :]
-                    if first:
-                        np.copyto(out, window)
-                        first = False
-                    else:
-                        np.maximum(out, window, out=out)
-        _kernels.record_variant_traffic(
-            recorder, f"pool-{self.variant}", *_kernels.pool_variant_traffic(self, x, out)
-        )
+        for tap in range(k * k):
+            ky, kx = divmod(tap, k)
+            window = x[:, ky : ky + s * h_out : s, kx : kx + s * w_out : s, :]
+            if tap == 0:
+                np.copyto(out, window)
+            else:
+                np.maximum(out, window, out=out)
+        _kernels.record_variant_traffic(recorder, "pool", 0, x.nbytes + out.nbytes)
         return out
 
 
@@ -424,9 +312,9 @@ class LinearMaskKernel:
     ``activation`` distinguishes masked layers (thresholds come from the task
     plan) from plain ReLU trunks (``mask_classifier_hidden=False``).
 
-    **Variants** — ``"dense"`` (default), ``"blocked"``, ``"packed"``,
-    ``"int8"``, ``"int8spd"``; same dispatch and dynamic-gate fallback
-    rules as :class:`ConvGemmMaskKernel`.
+    **Variants** — ``"dense"`` (default) and ``"int8"``; same dispatch and
+    dynamic-gate fallback rules as :class:`ConvGemmMaskKernel` (here the
+    fast path skips samples whose whole feature vector was masked away).
     """
 
     kind = "linear"
@@ -454,41 +342,9 @@ class LinearMaskKernel:
         self.dense_channels = dense_channels if dense_channels is not None else weight_t.shape[1]
         self.variant = "dense"
         self.quant = None
-        self.packed = None
 
     def run(self, x: np.ndarray, task: "TaskPlan", ws: WorkspacePool, recorder, ctx=None) -> np.ndarray:
-        if recorder is not None:
-            record_range = getattr(recorder, "record_range", None)
-            if record_range is not None:
-                record_range(task.name, self.name, float(np.abs(x).max()))
-        variant = self.variant
-        if variant != "dense" and (
-            variant in ("int8", "int8spd")
-            or ctx is None
-            or ctx.dynamic is None
-            or ctx.prev_sparsity < ctx.dynamic.gate
-        ):
-            return _kernels.run_linear_variant(self, x, task, ws, recorder, ctx)
-        n = x.shape[0]
-        out = ws.output(x, (n, self.weight_t.shape[1]), x.dtype)
-        # Rows are samples here: the fast path skips samples whose whole
-        # feature vector was masked away.
-        dynamic_before = ctx.dynamic_gemms if ctx is not None else 0
-        _gemm_with_dynamic_row_gather(self, x, out, ctx)
-        if ctx is not None:
-            ctx.dense_macs += n * self.dense_macs_per_image
-        used = "dynamic" if ctx is not None and ctx.dynamic_gemms > dynamic_before else "dense"
-        _kernels.record_variant_traffic(
-            recorder, used, *_kernels.linear_variant_traffic(self, n, "dense")
-        )
-        if self.mask is not None:
-            _apply_threshold_mask(self, out, task, ws, recorder, ctx, 1)
-        else:
-            if self.relu:
-                np.maximum(out, 0.0, out=out)
-            if ctx is not None:
-                ctx.prev_sparsity = 0.0
-        return out
+        return _kernels.run_variant(self, x, task, ws, recorder, ctx)
 
 
 # ---------------------------------------------------------------------------

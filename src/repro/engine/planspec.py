@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.kernels import QuantizedGemm
+from repro.engine.kernels import CONV_VARIANTS, LINEAR_VARIANTS, QuantizedGemm
 from repro.engine.plan import (
     ChannelScatterKernel,
     CompileError,
@@ -43,11 +43,16 @@ from repro.engine.plan import (
 
 __all__ = ["PlanSetSpec", "PlanSpec", "TaskSpec"]
 
+#: The one schema :meth:`PlanSpec.build` reads.  Specs interned through
+#: :meth:`PlanSetSpec.capture` carry ``_TensorRef`` markers in place of
+#: arrays; plain captures carry the arrays themselves.
+SPEC_VERSION = 5
+
 
 class _TensorRef:
     """Index into a :class:`PlanSetSpec`-level shared tensor table.
 
-    Version-4 specs captured with deduplication replace repeated ndarrays
+    Specs captured with deduplication replace repeated ndarrays
     (the shared backbone a specialized plan passes through by identity) with
     one of these markers, so the tensor pickles **once** per plan set rather
     than once per task.  Resolution back to arrays happens in
@@ -149,7 +154,7 @@ class TaskSpec:
     def build(self) -> TaskPlan:
         # ``asarray`` not ``array``: plans treat tensors as immutable, so the
         # rebuilt plan may share the spec's arrays — which is what lets every
-        # plan resolved against one v4 tensor table share its backbone.
+        # plan resolved against one shared tensor table share its backbone.
         return TaskPlan(
             name=self.name,
             num_classes=self.num_classes,
@@ -177,29 +182,22 @@ def _quant_dict(kernel, intern=None) -> Optional[Dict[str, object]]:
     quant = getattr(kernel, "quant", None)
     if quant is None:
         return None
-    payload = {
+    return {
         "weight_q": _arr(quant.weight_q, intern),
         "w_scale": _arr(quant.w_scale, intern),
         "in_scale": float(quant.in_scale),
         "scale": _arr(quant.scale, intern),
     }
-    if getattr(quant, "weight_qi", None) is not None:
-        payload["weight_qi"] = _arr(quant.weight_qi, intern)
-    return payload
 
 
 def _quant_from_dict(data) -> Optional[QuantizedGemm]:
     if data is None:
         return None
-    weight_qi = data.get("weight_qi")
     return QuantizedGemm(
         weight_q=np.asarray(data["weight_q"]),
         w_scale=np.asarray(data["w_scale"]),
         in_scale=float(data["in_scale"]),
         scale=np.asarray(data["scale"]),
-        # Pre-v3 payloads lack the int16 rows; the int8spd runner derives
-        # them lazily from weight_q on first use.
-        weight_qi=None if weight_qi is None else np.ascontiguousarray(weight_qi),
     )
 
 
@@ -241,7 +239,6 @@ def _describe_kernel(kernel, intern=None) -> Dict[str, object]:
             "kernel_size": kernel.kernel_size,
             "stride": kernel.stride,
             "out_shape": tuple(kernel.out_shape),
-            "variant": kernel.variant,
         }
     if isinstance(kernel, FlattenKernel):
         return {"type": "flatten"}
@@ -254,9 +251,16 @@ def _describe_kernel(kernel, intern=None) -> Dict[str, object]:
     raise CompileError(f"cannot serialize kernel type {type(kernel).__name__}")
 
 
+def _variant(desc: Dict[str, object], variants: Tuple[str, ...]) -> str:
+    variant = desc["variant"]
+    if variant not in variants:
+        raise ValueError(
+            f"kernel '{desc['name']}' names variant '{variant}'; this engine runs {variants}"
+        )
+    return variant
+
+
 def _build_kernel(index: int, desc: Dict[str, object]):
-    # ``desc.get`` defaults keep version-1 specs (captured before kernel
-    # variants existed) loadable: they rebuild on the default paths.
     kind = desc["type"]
     if kind == "conv":
         kernel = ConvGemmMaskKernel(
@@ -273,8 +277,8 @@ def _build_kernel(index: int, desc: Dict[str, object]):
             dense_macs=desc["dense_macs"],
             dense_channels=desc["dense_channels"],
         )
-        kernel.variant = desc.get("variant", "im2col")
-        kernel.quant = _quant_from_dict(desc.get("quant"))
+        kernel.variant = _variant(desc, CONV_VARIANTS)
+        kernel.quant = _quant_from_dict(desc["quant"])
         return kernel
     if kind == "linear":
         kernel = LinearMaskKernel(
@@ -287,19 +291,13 @@ def _build_kernel(index: int, desc: Dict[str, object]):
             dense_macs=desc["dense_macs"],
             dense_channels=desc["dense_channels"],
         )
-        kernel.variant = desc.get("variant", "dense")
-        kernel.quant = _quant_from_dict(desc.get("quant"))
+        kernel.variant = _variant(desc, LINEAR_VARIANTS)
+        kernel.quant = _quant_from_dict(desc["quant"])
         return kernel
     if kind == "pool":
-        kernel = MaxPoolKernel(
-            index,
-            desc["kernel_size"],
-            desc["stride"],
-            tuple(desc["out_shape"]),
-            name=desc.get("name"),
+        return MaxPoolKernel(
+            index, desc["kernel_size"], desc["stride"], tuple(desc["out_shape"]), name=desc["name"]
         )
-        kernel.variant = desc.get("variant", "reshape")
-        return kernel
     if kind == "flatten":
         return FlattenKernel(index)
     if kind == "scatter":
@@ -332,18 +330,8 @@ class PlanSpec:
     #: kernels' own ``variant`` fields are authoritative for execution, this
     #: is the replayable record (see ``apply_kernel_choices``).
     kernel_choices: Optional[Dict[str, str]] = None
-    #: 2 = kernel descriptors carry ``variant``/``quant`` (version-1 specs
-    #: still load; see ``_build_kernel``).
-    #: 3 = quant payloads additionally carry the packed int16 rows
-    #: (``weight_qi``) the int8spd datapath streams, and variants may name
-    #: the v3 lowerings (``packed``/``winograd``/``int8spd``) whose derived
-    #: weight layouts (Winograd transform, L2 column panels) are rebuilt
-    #: lazily in the worker rather than serialized.  Older specs still load:
-    #: every v3 field degrades to a lazy derivation.
-    #: 4 = tensors captured through :meth:`PlanSetSpec.capture` are interned
-    #: into the set-level shared table, with ``_TensorRef`` markers standing
-    #: in here; only :meth:`PlanSetSpec.build_all` resolves them.
-    version: int = 3
+    #: Schema version; :meth:`build` reads :data:`SPEC_VERSION` only.
+    version: int = SPEC_VERSION
 
     # ----------------------------------------------------------------- capture --
     @classmethod
@@ -384,10 +372,7 @@ class PlanSpec:
             ),
             dynamic=dynamic,
             specialization=specialization,
-            kernel_choices=(
-                dict(plan.kernel_choices) if getattr(plan, "kernel_choices", None) else None
-            ),
-            version=4 if intern is not None else 3,
+            kernel_choices=dict(plan.kernel_choices) if plan.kernel_choices else None,
         )
 
     # ------------------------------------------------------------------- build --
@@ -410,10 +395,25 @@ class PlanSpec:
         )
 
     def build(self) -> EnginePlan:
-        """Reconstruct an executable plan with fresh kernels."""
+        """Reconstruct an executable plan with fresh kernels.
+
+        Raises :class:`ValueError` for a spec of any other schema version, or
+        one that names a lowering this engine does not run — at build time,
+        not at the first batch.
+        """
         from repro.engine.specialize import SpecializedEnginePlan
 
+        if self.version != SPEC_VERSION:
+            raise ValueError(
+                f"PlanSpec version {self.version} is not supported; "
+                f"this engine reads version {SPEC_VERSION}"
+            )
         kernels = [_build_kernel(index, desc) for index, desc in enumerate(self.kernels)]
+        for name, variant in (self.kernel_choices or {}).items():
+            if variant not in CONV_VARIANTS + LINEAR_VARIANTS:
+                raise ValueError(
+                    f"kernel choice {name}={variant!r} names no lowering of this engine"
+                )
         mask_specs = [_mask_from_tuple(data) for data in self.mask_specs]
         tasks = {name: spec.build() for name, spec in self.tasks.items()}
         dynamic = None
@@ -434,12 +434,7 @@ class PlanSpec:
                 else None
             ),
             dynamic=dynamic,
-            # getattr: version-1 pickles predate the field entirely.
-            kernel_choices=(
-                dict(self.kernel_choices)
-                if getattr(self, "kernel_choices", None)
-                else None
-            ),
+            kernel_choices=dict(self.kernel_choices) if self.kernel_choices else None,
         )
         if self.specialization is None:
             return EnginePlan(**common)
@@ -472,12 +467,12 @@ class PlanSetSpec:
 
     plan: PlanSpec
     specialized: Dict[str, PlanSpec]
-    #: Version-4 shared tensor table.  ``capture(dedup=True)`` interns every
+    #: Shared tensor table.  ``capture(dedup=True)`` interns every
     #: ndarray by *source object* identity across the dense plan and all
     #: specialized plans, so the frozen backbone (which ``specialize_plan``
     #: passes through to each per-task plan by identity) pickles **once**
     #: per plan set instead of once per task — the wire-size fix for the
-    #: many-task regime.  ``None`` for pre-v4 pickles and plain captures.
+    #: many-task regime.  ``None`` for plain captures.
     tensors: Optional[List[np.ndarray]] = None
 
     @classmethod
@@ -500,16 +495,14 @@ class PlanSetSpec:
     def build_all(self) -> Tuple[EnginePlan, Dict[str, EnginePlan]]:
         """Reconstruct (dense plan, per-task specialized plans) — fresh kernels.
 
-        v4 specs resolve against the shared tensor table first; refs to one
-        slot come back as the same array object, so the rebuilt plans keep
-        the backbone sharing the capture deduplicated.  ``getattr`` tolerance:
-        pre-v4 pickles have no ``tensors`` attribute at all.
+        Interned specs resolve against the shared tensor table first; refs to
+        one slot come back as the same array object, so the rebuilt plans keep
+        the backbone sharing the capture deduplicated.
         """
-        tensors = getattr(self, "tensors", None)
         return (
-            self.plan.resolved(tensors).build(),
+            self.plan.resolved(self.tensors).build(),
             {
-                name: spec.resolved(tensors).build()
+                name: spec.resolved(self.tensors).build()
                 for name, spec in self.specialized.items()
             },
         )

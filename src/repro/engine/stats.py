@@ -239,13 +239,12 @@ class SparsityRecorder:
     def variant_totals(self) -> Dict[str, Dict[str, int]]:
         """Physical work per executed kernel variant: calls, MACs, bytes.
 
-        Keys are variant names (``im2col``, ``blocked``, ``packed``,
-        ``direct``, ``winograd``, ``int8``, ``int8spd``, ``dense``,
-        ``dynamic``, ``pool-reshape``, ``pool-views``); values carry what
-        each variant actually executed — the observability face of the
-        per-layer kernel chooser.  ``winograd`` reports its genuinely
-        reduced multiply count (16 MACs per 2x2 output tile where the
-        im2col lowering spends 36).
+        Keys are variant names (``im2col``, ``blocked``, ``direct``,
+        ``int8``, ``dense``, ``dynamic`` for the row-gather fast path, and
+        ``pool``); values carry what each variant actually executed — the
+        observability face of the per-layer kernel chooser.  ``direct``
+        reports its per-tap full-plane GEMMs, more MACs than the im2col
+        lowering of the same layer.
         """
         with self._lock:
             return {name: dict(entry) for name, entry in self._variants.items()}

@@ -58,8 +58,7 @@ def add_workload_arguments(sub: argparse.ArgumentParser, default_requests: int) 
     sub.add_argument("--dynamic", action="store_true",
                      help="autotune and enable the dynamic sparse row-gather fast path")
     sub.add_argument("--kernels",
-                     choices=["default", "auto", "im2col", "blocked", "packed",
-                              "direct", "winograd"],
+                     choices=["default", "auto", "im2col", "blocked", "direct"],
                      default="default",
                      help="kernel variant selection: 'auto' runs the per-layer chooser "
                           "on every served plan, a variant name forces it everywhere "

@@ -237,7 +237,6 @@ class PlanSet:
                     visit(quant.weight_q)
                     visit(quant.w_scale)
                     visit(quant.scale)
-                    visit(quant.weight_qi)
             if shared_only:
                 continue
             for task_plan in plan.tasks.values():

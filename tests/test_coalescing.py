@@ -16,18 +16,21 @@ shared backbone.  These tests pin the whole contract down:
   at 100+ tasks;
 * **memory** — worker workspace pools and the shared plan bytes stay flat in
   the task count, specialized plans add nothing to a pool the dense plan
-  warmed, and the v4 PlanSpec ships the backbone once.
+  warmed, and the interned PlanSpec ships the backbone once; a spec of
+  another schema version, or one naming a lowering the engine no longer
+  runs, is refused when it is built.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.engine import compile_network, specialize_tasks
-from repro.engine.planspec import PlanSetSpec
+from repro.engine.planspec import SPEC_VERSION, PlanSetSpec, PlanSpec
 from repro.engine.scheduling import CoalescingPolicy, MicroBatch, get_policy
 from repro.mime import MimeNetwork, add_structured_sparsity_task
 from repro.models import vgg_tiny
@@ -398,7 +401,7 @@ def test_specialized_shared_bytes_stay_bounded(plan6):
     assert with_spec <= 3 * single
 
 
-# ------------------------------------------------------------- PlanSpec v4 ----
+# ---------------------------------------------------------------- PlanSpec ----
 def test_planspec_v4_dedups_spawn_payload_and_shares_backbone(plan6):
     specialized = specialize_tasks(plan6, compact_reduction=False)
     dedup = PlanSetSpec.capture(plan6, specialized, dedup=True)
@@ -428,15 +431,30 @@ def test_planspec_v4_dedups_spawn_payload_and_shares_backbone(plan6):
         )
 
 
-def test_pre_v4_specs_without_tensor_table_still_build(plan6):
+def test_specs_of_another_version_are_refused_at_build(plan6):
     spec = PlanSetSpec.capture(plan6, {}, dedup=False)
-    assert spec.tensors is None
-    # A pre-v4 pickle has no ``tensors`` attribute at all; build_all must
-    # tolerate its absence, not just a None value.
-    if "tensors" in getattr(spec, "__dict__", {}):
-        del spec.__dict__["tensors"]
     rebuilt, _ = spec.build_all()
     rng = np.random.default_rng(9)
     images = rng.normal(size=(2,) + plan6.input_shape)
     task = plan6.task_names()[0]
     np.testing.assert_array_equal(rebuilt.run(images, task), plan6.run(images, task))
+    for version in (1, 2, 3, 4, SPEC_VERSION + 1):
+        stale = dataclasses.replace(spec.plan, version=version)
+        with pytest.raises(ValueError, match=f"reads version {SPEC_VERSION}"):
+            stale.build()
+
+
+@pytest.mark.parametrize(
+    "kind,variant",
+    [("conv", "packed"), ("conv", "winograd"), ("conv", "int8spd"), ("linear", "packed"),
+     ("pool", "views")],
+)
+def test_specs_naming_a_deleted_lowering_are_refused_at_build(plan6, kind, variant):
+    spec = PlanSpec.from_plan(plan6)
+    desc = next(desc for desc in spec.kernels if desc["type"] == kind)
+    if kind == "pool":
+        spec.kernel_choices = {desc["name"]: variant}
+    else:
+        desc["variant"] = variant
+    with pytest.raises(ValueError, match=variant):
+        spec.build()

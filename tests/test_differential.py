@@ -15,18 +15,13 @@ shape × inputs) and asserts the whole equivalence lattice on every one:
 * compact specialization ≈ dense plan (ULP-level: reduction regrouping);
 * process-sharded serving == dense plan, **bit for bit**, across the spawn
   + PlanSpec + shared-memory-ring boundary;
-* blocked GEMM + views pooling variants == dense plan, **bit for bit**;
-* packed (L2-panel-resident) GEMMs == dense plan, **bit for bit** (the
-  packer proves every multi-panel split exact on the host BLAS at build
-  time and collapses the split otherwise, so the contract is unconditional);
+* blocked convs (cache-blocked, against L2-resident weight panels) == dense
+  plan, **bit for bit** (the packer proves every multi-panel split exact on
+  the host BLAS at build time and collapses the split otherwise, so the
+  contract is unconditional);
 * direct (im2col-free) conv ≈ dense plan (ULP-level: per-tap regrouping);
-* Winograd F(2x2, 3x3) ≈ dense plan within its *declared* tolerance
-  (transform-domain regrouping; see ``winograd_tolerance``), with argmax
-  agreement ≥ 0.9;
 * int8 inference within its *declared* accuracy contract (decision fidelity,
   not value equivalence — the one deliberately-lossy path);
-* int8spd (the wide-integer speed datapath) == int8, **bit for bit** — a
-  faster lowering of the same quantized arithmetic, not a new contract;
 * a kernel-choice map survives PlanSpec + process spawn and serves the dense
   plan's bits from inside a worker;
 * a chooser-tuned compact specialization round-trips through PlanSpec into a
@@ -59,8 +54,6 @@ from repro.engine.kernels import (
     apply_kernel_choices,
     force_kernel_variant,
     quantize_plan_kernels,
-    variant_candidates,
-    winograd_tolerance,
 )
 from repro.engine.specialize import specialize_plan
 from repro.mime import MimeNetwork, add_structured_sparsity_task
@@ -245,22 +238,49 @@ def test_dynamic_sparse_fast_path_is_bit_identical(arch):
 
 # --------------------------------------------------------- kernel variants ----
 def test_blocked_kernel_variants_are_bit_identical(arch):
-    """``blocked`` GEMMs and ``views`` pools reproduce the dense plan bit for bit.
+    """``blocked`` convs reproduce the dense plan bit for bit.
 
-    The blocked conv's strip-copied panel equals the monolithic im2col matrix
-    and image-blocking never splits a GEMM row, so the reduction order is
-    unchanged; the pool ``views`` cascade computes the same maxima.  Both
-    claims are exact, so the comparison is ``array_equal``, not ``allclose``.
+    The blocked conv's strip-copied panel equals the monolithic im2col
+    matrix and image-blocking never splits a GEMM row, so the reduction
+    order is unchanged.  The claim is exact, so the comparison is
+    ``array_equal``, not ``allclose``.
     """
     tuned = PlanSpec.from_plan(arch.plan).build()
-    force_kernel_variant(tuned, "blocked")
-    force_kernel_variant(tuned, "views")
+    forced = force_kernel_variant(tuned, "blocked")
+    assert forced, "no conv layer was eligible for the blocked variant"
     for case in arch.cases:
         dense = arch.plan.run(case.images, case.task)
         blocked = tuned.run(case.images, case.task)
         np.testing.assert_array_equal(
             blocked, dense, err_msg=f"arch seed {arch.seed}, task {case.task}"
         )
+
+
+def test_packed_kernel_variants_are_bit_identical(arch, monkeypatch):
+    """Packed weight panels inside ``blocked`` convs keep the dense plan's bits.
+
+    The packer keeps a multi-panel weight split only after proving it
+    bit-exact on this host's BLAS (``_packed_split_exact``) and collapses to
+    one contiguous panel otherwise, so equality is unconditional — hence
+    ``array_equal``.  The panel budget is shrunk so candidate splits are
+    actually generated and the proof-or-collapse machinery is exercised,
+    not just the trivial single-panel case.
+    """
+    monkeypatch.setattr(K, "_PACKED_PANEL_BYTES", 1 << 10)
+    tuned = PlanSpec.from_plan(arch.plan).build()
+    forced = force_kernel_variant(tuned, "blocked")
+    assert forced, "no conv layer was eligible for the blocked variant"
+    for case in arch.cases:
+        dense = arch.plan.run(case.images, case.task)
+        packed = tuned.run(case.images, case.task)
+        np.testing.assert_array_equal(
+            packed, dense, err_msg=f"arch seed {arch.seed}, task {case.task}"
+        )
+    assert all(
+        getattr(kernel, "packed", None)
+        for kernel in tuned.kernels
+        if getattr(kernel, "name", None) in forced
+    ), "a blocked conv ran without packing its weight panels"
 
 
 def test_direct_conv_matches_to_ulp(arch):
@@ -284,59 +304,6 @@ def test_direct_conv_matches_to_ulp(arch):
             atol=1e-12,
             err_msg=f"arch seed {arch.seed}, task {case.task}",
         )
-
-
-def test_packed_kernel_variants_are_bit_identical(arch):
-    """``packed`` GEMMs reproduce the dense plan bit for bit.
-
-    The packer keeps a multi-panel split only after proving it bit-exact on
-    this host's BLAS (``_packed_split_exact``) and collapses to one
-    contiguous panel otherwise, so equality is unconditional — hence
-    ``array_equal``.  The panel budget is shrunk so candidate splits are
-    actually generated and the proof-or-collapse machinery is exercised,
-    not just the trivial single-panel case.
-    """
-    tuned = PlanSpec.from_plan(arch.plan).build()
-    original = K._PACKED_PANEL_BYTES
-    K._PACKED_PANEL_BYTES = 1 << 10  # force multi-panel splits at these widths
-    try:
-        forced = force_kernel_variant(tuned, "packed")
-        assert forced, "no GEMM was eligible for the packed variant"
-        for case in arch.cases:
-            dense = arch.plan.run(case.images, case.task)
-            packed = tuned.run(case.images, case.task)
-            np.testing.assert_array_equal(
-                packed, dense, err_msg=f"arch seed {arch.seed}, task {case.task}"
-            )
-    finally:
-        K._PACKED_PANEL_BYTES = original
-
-
-def test_winograd_conv_within_declared_tolerance(arch):
-    """Winograd convs stay inside ``winograd_tolerance`` and keep decisions.
-
-    F(2x2, 3x3) computes each output through transform-domain combinations —
-    value-equivalent up to accumulated rounding, so the comparison is the
-    declared-tolerance ``allclose`` (float64 here: ULP-class bounds), plus
-    the decision-fidelity floor serving cares about.
-    """
-    tuned = PlanSpec.from_plan(arch.plan).build()
-    forced = force_kernel_variant(tuned, "winograd")
-    assert forced, "no conv layer was eligible for the winograd variant"
-    tol = winograd_tolerance(arch.plan.dtype)
-    agree = total = 0
-    for case in arch.cases:
-        dense = arch.plan.run(case.images, case.task)
-        wino = tuned.run(case.images, case.task)
-        np.testing.assert_allclose(
-            wino, dense, **tol,
-            err_msg=f"arch seed {arch.seed}, task {case.task}",
-        )
-        agree += int((dense.argmax(axis=1) == wino.argmax(axis=1)).sum())
-        total += len(dense)
-    assert agree / total >= 0.9, (
-        f"arch seed {arch.seed}: argmax agreement {agree}/{total} below declared 0.9"
-    )
 
 
 def test_int8_variant_within_declared_tolerance(arch):
@@ -368,34 +335,6 @@ def test_int8_variant_within_declared_tolerance(arch):
     assert agree / total >= 0.9, (
         f"arch seed {arch.seed}: argmax agreement {agree}/{total} below declared 0.9"
     )
-
-
-def test_int8spd_is_bit_identical_to_int8(arch, monkeypatch):
-    """The wide-integer speed datapath changes speed, never bits.
-
-    ``int8spd`` lowers the exact same quantized arithmetic as ``int8``
-    (identical quantization, identical dequant op sequence, guard-band
-    refinement included), so its outputs must equal the reference int8
-    path's bit for bit — which also makes int8's declared accuracy contract
-    (``≤ 0.5pp``-class decision fidelity, tested above) carry over verbatim.
-    The host probe is forced to "wins" so the test runs everywhere.
-    """
-    monkeypatch.setattr(K, "_INT8SPD_WINS", True)
-    profile = calibrate_plan(arch.plan, batch_size=MICRO_BATCH, seed=arch.seed)
-    quantized = PlanSpec.from_plan(arch.plan).build()
-    names = quantize_plan_kernels(quantized, profile, set_variant=True)
-    assert names, "no kernel accepted int8 quantization"
-    reference = {
-        id(case): quantized.run(case.images, case.task) for case in arch.cases
-    }
-    forced = force_kernel_variant(quantized, "int8spd")
-    assert set(forced) == set(names), "every quantized GEMM must accept int8spd"
-    for case in arch.cases:
-        speed = quantized.run(case.images, case.task)
-        np.testing.assert_array_equal(
-            speed, reference[id(case)],
-            err_msg=f"arch seed {arch.seed}, task {case.task}",
-        )
 
 
 def test_chooser_tuned_specialization_round_trips_through_sharded_worker(arch):
@@ -447,18 +386,13 @@ def test_chooser_tuned_specialization_round_trips_through_sharded_worker(arch):
 def test_kernel_choices_round_trip_through_sharded_worker(arch):
     """A chooser map survives PlanSpec + spawn and still serves bit-exactly.
 
-    Builds a deterministic mixed-choice map (blocked GEMMs, views pools —
+    Builds a deterministic choice map (``blocked`` on every conv —
     machine-independent, unlike a live autotune), applies it, and serves one
     padded stream through a spawned worker: the worker must rebuild the plan
     with the same choices and produce the dense plan's bits.
     """
     tuned = PlanSpec.from_plan(arch.plan).build()
-    wanted = {"conv": "blocked", "linear": "blocked", "pool": "views"}
-    choices = {
-        kernel.name: wanted[kernel.kind]
-        for kernel in tuned.kernels
-        if variant_candidates(kernel) and wanted[kernel.kind] in variant_candidates(kernel)
-    }
+    choices = {kernel.name: "blocked" for kernel in tuned.kernels if kernel.kind == "conv"}
     applied = apply_kernel_choices(tuned, choices)
     assert applied == choices
     rebuilt = PlanSpec.from_plan(tuned).build()

@@ -14,7 +14,6 @@ import pytest
 from repro.engine import (
     CONV_VARIANTS,
     LINEAR_VARIANTS,
-    POOL_VARIANTS,
     MultiTaskEngine,
     SparsityRecorder,
     compile_network,
@@ -382,10 +381,9 @@ def _scatter_plan(plan, task, offset=0):
     return spec
 
 
-def _pool_reuse_case(network, case, monkeypatch):
+def _pool_reuse_case(network, case):
     """(run(images, pool) -> logits) for one lowering or execution path."""
     from repro.engine import calibrate_plan, force_kernel_variant, quantize_plan_kernels
-    from repro.engine import kernels as K
 
     if case == "mixed":
         network.add_task("delta", 4, rng=np.random.default_rng(5))  # alpha's head width
@@ -398,8 +396,7 @@ def _pool_reuse_case(network, case, monkeypatch):
         spec = _scatter_plan(plan, "alpha")
         return lambda x, pool: spec.run(x, "alpha", workspaces=pool)
     profile = calibrate_plan(plan, batch_size=8, seed=4)
-    if case in ("int8", "int8spd"):
-        monkeypatch.setattr(K, "_INT8SPD_WINS", True)
+    if case == "int8":
         quantize_plan_kernels(plan, profile, set_variant=False)
     assert force_kernel_variant(plan, case), f"no kernel accepts '{case}'"
     return lambda x, pool: plan.run(x, "alpha", workspaces=pool)
@@ -407,14 +404,14 @@ def _pool_reuse_case(network, case, monkeypatch):
 
 @pytest.mark.parametrize(
     "case",
-    [*dict.fromkeys(CONV_VARIANTS + LINEAR_VARIANTS + POOL_VARIANTS), "exact-specialized", "mixed"],
+    [*dict.fromkeys(CONV_VARIANTS + LINEAR_VARIANTS), "exact-specialized", "mixed"],
 )
-def test_padded_workspace_large_then_small_batch_cannot_leak(network, case, monkeypatch):
+def test_padded_workspace_large_then_small_batch_cannot_leak(network, case):
     """A big-batch run must not contaminate a later small-batch run.
 
     Every slab is shared by every kernel of every plan and starts
-    uninitialised, so pad borders, scattered dead channels and the Winograd
-    tile-plane tail must be restored on every call: running a large batch
+    uninitialised, so pad borders and scattered dead channels must be
+    restored on every call: running a large batch
     with extreme values and then a smaller batch through the same pool (and
     the reverse) must give exactly the same logits as a fresh pool, on every
     lowering, on an exact-mode specialized plan and on a coalesced batch —
@@ -423,7 +420,7 @@ def test_padded_workspace_large_then_small_batch_cannot_leak(network, case, monk
     """
     from repro.engine import WorkspacePool
 
-    run = _pool_reuse_case(network, case, monkeypatch)
+    run = _pool_reuse_case(network, case)
     other = _scatter_plan(compile_network(network, dtype=np.float64), "beta", offset=1)
     rng = np.random.default_rng(77)
     big = 1e6 * rng.normal(size=(16, 3, 16, 16))  # extreme values to make leaks loud
