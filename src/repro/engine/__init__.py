@@ -32,8 +32,8 @@ package provides the dedicated inference path:
   row-gather fast path and its autotuner
   (:func:`autotune_dynamic_crossover`).
 * :mod:`repro.engine.kernels` holds the kernel lowerings, one
-  ``{name: runner}`` table per kind — conv ``im2col`` (default), the
-  cache-blocked fused-epilogue ``blocked`` GEMM, the im2col-free ``direct``
+  ``{name: runner}`` table per kind — conv: the cache-blocked
+  fused-epilogue ``blocked`` GEMM (default), the im2col-free ``direct``
   conv and the opt-in ``int8`` path (:func:`quantize_plan_kernels`); FC
   ``dense`` and ``int8`` — and the per-layer kernel chooser
   (:func:`autotune_kernel_variants` / :func:`apply_kernel_choices`) whose

@@ -6,20 +6,18 @@ attribute.  Each kind has one ``{name: runner}`` table; :data:`CONV_VARIANTS`
 and :data:`LINEAR_VARIANTS` are its keys, default first.
 
 Convolutions (``ConvGemmMaskKernel``)
-  * ``"im2col"`` (default) — im2col → one monolithic GEMM →
-    :func:`apply_threshold_mask`; the untuned reference path, and the home of
-    the dynamic row-gather fast path and its bit-exactness story.
-  * ``"blocked"`` — cache-blocked fused GEMM: per block of images, an im2col
-    panel built by long-run strided copies (:func:`copy_window_strips`),
-    GEMMs against L2-resident weight column panels packed once at plan build
-    (:func:`packed_weight_panels`), and the bias + threshold-mask epilogue
-    while the tile is cache-hot.  **Bit-identical** to ``im2col``: the panel
-    equals the im2col matrix, blocking never splits a GEMM row, and a weight
-    split is kept only after a build-time proof that it reproduces the
-    full-width GEMM's bits on this host.
+  * ``"blocked"`` (default) — cache-blocked fused GEMM: per block of images,
+    an im2col panel built by long-run strided copies
+    (:func:`copy_window_strips`), GEMMs against L2-resident weight column
+    panels packed once at plan build (:func:`packed_weight_panels`), and the
+    bias + threshold-mask epilogue while the tile is cache-hot.
+    **Bit-identical** to one monolithic im2col GEMM: the panel equals the
+    im2col matrix, blocking never splits a GEMM row, and a weight split is
+    kept only after a build-time proof that it reproduces the full-width
+    GEMM's bits on this host.  The home of the dynamic row-gather fast path.
   * ``"direct"`` — im2col-free shift-and-add convolution: one full-plane
     GEMM per filter tap, accumulated through shifted window views, with no
-    ``cols`` workspace at all.  1x1/stride-1 layers degenerate to the
+    panel workspace at all.  1x1/stride-1 layers degenerate to the
     identical single GEMM (bit-exact); for k>1 the per-pixel reduction is
     regrouped into per-tap partial sums, so the contract is ULP-level
     (:func:`winograd_tolerance`), not bitwise.  Stride-1 layers only.
@@ -134,8 +132,8 @@ class WorkspacePool:
     """Scratch memory of one executing thread, keyed by lifetime, not by kernel.
 
     A plan is a chain of kernels, so every buffer has one of two lifetimes.
-    **Scratch** — pad planes, im2col/panel columns, masks, the ``tap`` and
-    int8 ``q*`` temporaries, and a mixed batch's per-row
+    **Scratch** — pad planes, the blocked conv's image-block ``panel``,
+    masks, the ``tap`` and int8 ``q*`` temporaries, and a mixed batch's per-row
     ``mixthr<slot>`` thresholds (which live for the whole run) — gets one
     growable slab per label, shared by every kernel of every plan: two
     buffers live in one kernel call always carry different labels, so they
@@ -313,7 +311,7 @@ def record_variant_traffic(recorder, variant: str, macs: int, nbytes: int) -> No
     (rows x reduction x width of the layer's math) so MAC-reduction ratios
     remain comparable across variants; this hook carries what the variant
     physically executed — e.g. the direct path's per-tap full-plane GEMMs
-    run ~``(H+2p)(W+2p)/(HW)`` more MACs than the im2col lowering of the
+    run ~``(H+2p)(W+2p)/(HW)`` more MACs than the blocked lowering of the
     same layer — plus a simple bytes-touched model of its memory traffic.
     """
     if recorder is None:
@@ -349,7 +347,7 @@ def conv_variant_traffic(kernel, n: int, variant: str) -> tuple:
             )
         return macs, nbytes
     macs = rows * reduction * c_out
-    # im2col/blocked/int8: cols written once and re-read by the GEMM.
+    # blocked/int8: the im2col panel is written once and re-read by the GEMM.
     cols_bytes = 2 * item * rows * reduction
     nbytes = input_bytes + cols_bytes + weight_bytes + out_bytes + mask_bytes
     if variant == "int8":
@@ -458,47 +456,6 @@ def _gemm_with_dynamic_row_gather(kernel, a: np.ndarray, out: np.ndarray, ctx) -
     return False
 
 
-def run_conv_im2col(kernel, x, task, ws, recorder, ctx):
-    """The default conv lowering: im2col → one GEMM → threshold mask.
-
-    im2col gathers rows as runs of ``C_in`` contiguous values from the NHWC
-    source plane, so no strided element-wise copies remain; the GEMM output
-    ``(N·H_out·W_out, C_out)`` *is* the NHWC feature map.  The GEMM takes the
-    dynamic row-gather fast path (:func:`_gemm_with_dynamic_row_gather`)
-    when the run context's gate allows it: im2col rows are spatial output
-    positions, and one whose receptive field is entirely zero is skipped.
-    """
-    n = x.shape[0]
-    c_in = kernel.in_shape[0]
-    c_out, h_out, w_out = kernel.out_shape
-    k, s = kernel.kernel_size, kernel.stride
-    dtype = kernel.weight_t.dtype
-
-    src = _padded_input(kernel, x, ws)
-    rows = n * h_out * w_out
-    reduction = kernel.weight_t.shape[0]
-    cols = ws.get("cols", (rows, reduction), dtype)
-    cols_view = cols.reshape(n, h_out, w_out, k, k, c_in)
-    for ky in range(k):
-        for kx in range(k):
-            cols_view[:, :, :, ky, kx, :] = src[
-                :, ky : ky + s * h_out : s, kx : kx + s * w_out : s, :
-            ]
-
-    out = ws.output(x, (rows, c_out), dtype)
-    used = "dynamic" if _gemm_with_dynamic_row_gather(kernel, cols, out, ctx) else "im2col"
-    if ctx is not None:
-        ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(recorder, used, *conv_variant_traffic(kernel, n, "im2col"))
-
-    if kernel.mask is not None:
-        gemm = out.reshape(n, h_out * w_out, c_out)
-        apply_threshold_mask(kernel, gemm, task, ws, recorder, ctx, h_out * w_out)
-    elif ctx is not None:
-        ctx.prev_sparsity = 0.0
-    return out.reshape(n, h_out, w_out, c_out)
-
-
 def _linear_epilogue(kernel, out, task, ws, recorder, ctx):
     if kernel.mask is not None:
         apply_threshold_mask(kernel, out, task, ws, recorder, ctx, 1)
@@ -525,19 +482,19 @@ def run_linear_dense(kernel, x, task, ws, recorder, ctx):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Convolution variants.
-# ---------------------------------------------------------------------------
 def run_conv_blocked(kernel, x, task, ws, recorder, ctx):
-    """Cache-blocked im2col GEMM with the bias+mask epilogue fused per block.
+    """The default conv lowering: cache-blocked im2col GEMM, bias+mask fused per block.
 
-    Bit-identical to the default path: the strip-copied panel equals the
-    monolithic im2col matrix and blocking over *images* never splits a GEMM
+    Bit-identical to one monolithic im2col GEMM: the strip-copied panel
+    equals the im2col matrix and blocking over *images* never splits a GEMM
     row, so every output element sees the same reduction order.  Each
     block's GEMM runs against the L2-resident weight panels from
     :func:`packed_weight_panels` instead of streaming the full-width weight
     matrix — still bit-identical, because the packer only keeps splits
-    proven exact on this host.
+    proven exact on this host.  While the run context's dynamic gate is
+    open, each block's GEMM takes the row-gather fast path instead
+    (:func:`_gemm_with_dynamic_row_gather`): panel rows are spatial output
+    positions, and one whose receptive field is entirely zero is skipped.
     """
     n = x.shape[0]
     c_in, _, _ = kernel.in_shape
@@ -555,8 +512,11 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx):
     block = max(1, min(n, (_COLS_BLOCK_BYTES + panel_bytes // 2) // panel_bytes))
 
     out = ws.output(x, (n * spi, c_out), dtype)
-    cols = ws.get("bcols", (block * spi, reduction), dtype)
-    survival_needed = recorder is not None or (ctx is not None and ctx.dynamic is not None)
+    cols = ws.get("panel", (block * spi, reduction), dtype)
+    dynamic = ctx.dynamic if ctx is not None else None
+    gate_open = dynamic is not None and ctx.prev_sparsity >= dynamic.gate
+    gathered = False
+    survival_needed = recorder is not None or dynamic is not None
     need_channels = (
         recorder is not None and getattr(recorder, "record_channels", None) is not None
     )
@@ -573,9 +533,14 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx):
         panel = cols[: nb * spi]
         copy_window_strips(panel, src[b0 : b0 + nb], nb, h_out, w_out, k, s, c_in)
         tile = out[b0 * spi : (b0 + nb) * spi]
-        for j0, j1, wpanel in panels:
-            np.matmul(panel, wpanel, out=tile[:, j0:j1])
-        np.add(tile, kernel.bias, out=tile)
+        if gate_open:
+            gathered |= _gemm_with_dynamic_row_gather(kernel, panel, tile, ctx)
+        else:
+            # Row-stable like the gather path's GEMMs, so a tiny block (fewer
+            # than 8 rows) reduces identically whichever way the gate falls.
+            for j0, j1, wpanel in panels:
+                matmul_rowsafe(panel, wpanel, out=tile[:, j0:j1])
+            np.add(tile, kernel.bias, out=tile)
         if kernel.mask is not None:
             gemm = tile.reshape(nb, spi, c_out)
             tile_mask = mask[b0 : b0 + nb]
@@ -593,9 +558,11 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx):
                 live_total += np.count_nonzero(tile_mask)
 
     if ctx is not None:
-        ctx.effective_macs += n * spi * reduction * c_out
+        if not gate_open:  # the row-gather helper counts its own MACs per block
+            ctx.effective_macs += n * spi * reduction * c_out
         ctx.dense_macs += n * kernel.dense_macs_per_image
-    record_variant_traffic(recorder, "blocked", *conv_variant_traffic(kernel, n, "blocked"))
+    used = "dynamic" if gathered else "blocked"
+    record_variant_traffic(recorder, used, *conv_variant_traffic(kernel, n, "blocked"))
     if kernel.mask is not None and survival_needed:
         live = float(channel_live.sum()) if channel_live is not None else float(live_total)
         report_mask_stats(
@@ -671,12 +638,15 @@ def packed_weight_panels(kernel) -> list:
     return panels
 
 
+# ---------------------------------------------------------------------------
+# The other convolution variants.
+# ---------------------------------------------------------------------------
 def winograd_tolerance(dtype) -> Dict[str, float]:
     """Declared tolerance of lowerings that reorder float reductions, per dtype.
 
     ``direct`` regroups each output's reduction into per-tap partial sums and
     compacted specialization drops dead terms from it, so their outputs
-    differ from the im2col reduction by accumulated rounding — a few ULP of
+    differ from the single-GEMM reduction by accumulated rounding — a few ULP of
     the arithmetic dtype in practice.  These bounds are the *contract*
     (``np.allclose(..., **winograd_tolerance(dtype))``), declared with
     safety margin above the observed error.  The name is historical.
@@ -694,7 +664,7 @@ def run_conv_direct(kernel, x, task, ws, recorder, ctx):
     over the raw padded plane and its output is accumulated into the result
     through a shifted window view — no column matrix is ever materialised.
     1x1/stride-1 collapses to a single GEMM over the input itself and is
-    bit-identical to im2col; k>1 regroups the reduction per tap (ULP-level).
+    bit-identical to ``blocked``; k>1 regroups the reduction per tap (ULP-level).
     """
     n = x.shape[0]
     c_in, h, w = kernel.in_shape
@@ -706,7 +676,7 @@ def run_conv_direct(kernel, x, task, ws, recorder, ctx):
     out = ws.output(x, (n * spi, c_out), dtype)
     src = _padded_input(kernel, x, ws)
     if k == 1 and p == 0 and s == 1:
-        np.matmul(src.reshape(n * h * w, c_in), kernel.weight_t, out=out)
+        matmul_rowsafe(src.reshape(n * h * w, c_in), kernel.weight_t, out=out)
     else:
         h2, w2 = h + 2 * p, w + 2 * p
         plane = n * h2 * w2
@@ -910,7 +880,6 @@ def run_linear_int8(kernel, x, task, ws, recorder, ctx):
 # One {name: runner} table per kernel kind, default first.
 # ---------------------------------------------------------------------------
 _CONV_RUNNERS = {
-    "im2col": run_conv_im2col,
     "blocked": run_conv_blocked,
     "direct": run_conv_direct,
     "int8": run_conv_int8,
@@ -1081,8 +1050,9 @@ def force_kernel_variant(plan, variant: str) -> Dict[str, str]:
 
     Ineligible kernels keep their current variant (e.g. forcing ``direct``
     leaves strided convs and FC layers alone), so a forced plan is always
-    runnable.  Conv/linear naming is unified: forcing ``"im2col"`` resets
-    FC kernels to their ``"dense"`` default and vice versa.
+    runnable.  Forcing a default forces every default: ``"blocked"`` also
+    resets FC kernels to ``"dense"``, and ``"dense"`` resets convs to
+    ``"blocked"``.
     """
     defaults = (CONV_VARIANTS[0], LINEAR_VARIANTS[0])
     chosen: Dict[str, str] = {}

@@ -12,18 +12,18 @@ The fusions mirror what a deployment compiler would do for this topology:
 * **BatchNorm folding** — the backbone is frozen and its normalisation layers
   permanently run on running statistics, so every Conv→BatchNorm (and
   Linear→BatchNorm) pair collapses exactly into a rescaled weight and bias.
-* **conv → im2col-GEMM → threshold-mask fusion** — a convolution lowers to one
-  GEMM whose output stays in ``(N·H·W, C)`` layout; the task's thresholds are
-  pre-transposed into that same layout at task-plan build time, so masking is
-  a single broadcast compare directly on the GEMM output.
+* **conv → im2col-GEMM → threshold-mask fusion** — a convolution lowers to
+  cache-blocked im2col GEMMs whose output stays in ``(N·H·W, C)`` layout; the
+  task's thresholds are pre-transposed into that same layout at task-plan
+  build time, so masking is a broadcast compare directly on each GEMM tile.
 * **NHWC activation layout** — the GEMM naturally produces channels-last
   activations, so the whole compiled feature stack keeps them that way:
   convolution weights are pre-reordered to ``(K·K·C_in, C_out)`` and the first
   classifier Linear's columns are permuted at compile time to consume NHWC
   features.  Only the entry batch is transposed at run time; no intermediate
   layout round-trips remain.
-* **workspace reuse** — the im2col column matrix, the padded-input buffer and
-  the GEMM output live in per-thread slabs keyed by lifetime, sized by the
+* **workspace reuse** — the image-block im2col panel, the padded-input buffer
+  and the GEMM output live in per-thread slabs keyed by lifetime, sized by the
   largest batch seen and shared by every kernel of every plan (see
   :class:`WorkspacePool`), so steady-state serving does no large
   allocations.
@@ -95,7 +95,7 @@ class DynamicSparseConfig:
 
     ``gate`` is the minimum *measured* element sparsity of the previous masked
     layer before a kernel even computes row liveness (the check itself costs a
-    pass over the im2col matrix, so it is skipped on dense traffic — which is
+    pass over the im2col panel, so it is skipped on dense traffic — which is
     what keeps the fast path free at zero sparsity).  ``crossover`` maps a
     kernel name to the maximum live-row fraction at which the
     gather→GEMM→scatter path still beats the dense GEMM; kernels missing from
@@ -151,13 +151,13 @@ class ConvGemmMaskKernel:
     ``weight_t``/``bias``.
 
     **Variants** — ``self.variant`` selects one of
-    :data:`~repro.engine.kernels.CONV_VARIANTS` (``"im2col"`` default,
-    ``"blocked"``, ``"direct"``, ``"int8"``); see :mod:`repro.engine.kernels`
-    for the exactness contract of each.  **Dynamic sparse fast path** — when
-    the run context says the previous masked layer's measured batch sparsity
-    cleared the configured gate, the float variants run ``im2col``, which
-    skips im2col rows (spatial output positions) whose receptive field is
-    entirely zero: bit-identical to the dense GEMM, whichever variant the
+    :data:`~repro.engine.kernels.CONV_VARIANTS` (``"blocked"`` default,
+    ``"direct"``, ``"int8"``); see :mod:`repro.engine.kernels` for the
+    exactness contract of each.  **Dynamic sparse fast path** — when the run
+    context says the previous masked layer's measured batch sparsity cleared
+    the configured gate, the float variants run ``blocked``, whose image
+    blocks skip im2col rows (spatial output positions) whose receptive field
+    is entirely zero: bit-identical to the dense GEMM, whichever variant the
     chooser picked.
     """
 
@@ -203,7 +203,7 @@ class ConvGemmMaskKernel:
         #: by the chooser/quantizer before serving starts.  ``packed`` caches
         #: the ``blocked`` variant's L2 weight column panels, built lazily on
         #: first use.
-        self.variant = "im2col"
+        self.variant = _kernels.CONV_VARIANTS[0]
         self.quant = None
         self.packed = None
 

@@ -239,11 +239,11 @@ class SparsityRecorder:
     def variant_totals(self) -> Dict[str, Dict[str, int]]:
         """Physical work per executed kernel variant: calls, MACs, bytes.
 
-        Keys are variant names (``im2col``, ``blocked``, ``direct``,
-        ``int8``, ``dense``, ``dynamic`` for the row-gather fast path, and
-        ``pool``); values carry what each variant actually executed — the
+        Keys are variant names (``blocked``, ``direct``, ``int8``,
+        ``dense``, ``dynamic`` for the row-gather fast path, and ``pool``);
+        values carry what each variant actually executed — the
         observability face of the per-layer kernel chooser.  ``direct``
-        reports its per-tap full-plane GEMMs, more MACs than the im2col
+        reports its per-tap full-plane GEMMs, more MACs than the blocked
         lowering of the same layer.
         """
         with self._lock:

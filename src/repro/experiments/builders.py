@@ -58,11 +58,11 @@ def add_workload_arguments(sub: argparse.ArgumentParser, default_requests: int) 
     sub.add_argument("--dynamic", action="store_true",
                      help="autotune and enable the dynamic sparse row-gather fast path")
     sub.add_argument("--kernels",
-                     choices=["default", "auto", "im2col", "blocked", "direct"],
+                     choices=["default", "auto", "direct"],
                      default="default",
                      help="kernel variant selection: 'auto' runs the per-layer chooser "
-                          "on every served plan, a variant name forces it everywhere "
-                          "it is eligible, 'default' keeps the baseline im2col path")
+                          "on every served plan, 'direct' forces the direct conv on "
+                          "every stride-1 conv, 'default' keeps the blocked conv")
     sub.add_argument("--int8", action="store_true",
                      help="attach calibrated int8 weights to every GEMM kernel; with "
                           "--kernels=auto int8 competes in the chooser, otherwise it "

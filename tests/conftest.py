@@ -75,6 +75,31 @@ def small_dataset(rng):
     return ArrayDataset(images, labels, name="unit", num_classes=4)
 
 
+def reference_conv(kernel, x: np.ndarray, task) -> np.ndarray:
+    """Monolithic lowering of a conv kernel: the bit-exact reference of ``blocked``.
+
+    One full-batch im2col panel (``copy_window_strips`` over a zero-padded
+    copy of the NHWC input), one GEMM with ``weight_t`` (``np.matmul``, padded
+    to sgemm height below 8 rows like every engine GEMM), ``+ bias``, then
+    the task's threshold mask.  Allocates everything fresh, so it shares no
+    workspace with the kernel under test.
+    """
+    from repro.engine.kernels import copy_window_strips, matmul_rowsafe
+
+    n = x.shape[0]
+    c_in, h, w = kernel.in_shape
+    c_out, h_out, w_out = kernel.out_shape
+    k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
+    src = np.zeros((n, h + 2 * p, w + 2 * p, c_in), kernel.weight_t.dtype)
+    src[:, p : p + h, p : p + w] = x
+    cols = np.empty((n * h_out * w_out, k * k * c_in), src.dtype)
+    copy_window_strips(cols, src, n, h_out, w_out, k, s, c_in)
+    out = (matmul_rowsafe(cols, kernel.weight_t) + kernel.bias).reshape(n, h_out * w_out, c_out)
+    if kernel.mask is not None:
+        out *= out >= task.thresholds[kernel.mask.slot]
+    return out.reshape(n, h_out, w_out, c_out)
+
+
 def numeric_gradient(fn, array: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
     """Central-difference numerical gradient of a scalar function of ``array``."""
     grad = np.zeros_like(array)

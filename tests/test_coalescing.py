@@ -446,15 +446,17 @@ def test_specs_of_another_version_are_refused_at_build(plan6):
 
 @pytest.mark.parametrize(
     "kind,variant",
-    [("conv", "packed"), ("conv", "winograd"), ("conv", "int8spd"), ("linear", "packed"),
-     ("pool", "views")],
+    [("conv", "packed"), ("conv", "winograd"), ("conv", "int8spd"), ("conv", "im2col"),
+     ("linear", "packed"), ("pool", "views")],
 )
 def test_specs_naming_a_deleted_lowering_are_refused_at_build(plan6, kind, variant):
     spec = PlanSpec.from_plan(plan6)
     desc = next(desc for desc in spec.kernels if desc["type"] == kind)
-    if kind == "pool":
-        spec.kernel_choices = {desc["name"]: variant}
-    else:
-        desc["variant"] = variant
+    spec.kernel_choices = {desc["name"]: variant}
     with pytest.raises(ValueError, match=variant):
         spec.build()
+    if kind != "pool":  # pooling kernels carry no variant field
+        spec.kernel_choices = None
+        desc["variant"] = variant
+        with pytest.raises(ValueError, match=variant):
+            spec.build()

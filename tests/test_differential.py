@@ -15,10 +15,10 @@ shape × inputs) and asserts the whole equivalence lattice on every one:
 * compact specialization ≈ dense plan (ULP-level: reduction regrouping);
 * process-sharded serving == dense plan, **bit for bit**, across the spawn
   + PlanSpec + shared-memory-ring boundary;
-* blocked convs (cache-blocked, against L2-resident weight panels) == dense
-  plan, **bit for bit** (the packer proves every multi-panel split exact on
-  the host BLAS at build time and collapses the split otherwise, so the
-  contract is unconditional);
+* blocked convs (cache-blocked, against L2-resident weight panels, the
+  default lowering) == one monolithic im2col GEMM per conv, **bit for bit**
+  (the packer proves every multi-panel split exact on the host BLAS at build
+  time and collapses the split otherwise, so the contract is unconditional);
 * direct (im2col-free) conv ≈ dense plan (ULP-level: per-tap regrouping);
 * int8 inference within its *declared* accuracy contract (decision fidelity,
   not value equivalence — the one deliberately-lossy path);
@@ -35,6 +35,7 @@ on any input — no calibration-sampling flake.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -59,6 +60,7 @@ from repro.engine.specialize import specialize_plan
 from repro.mime import MimeNetwork, add_structured_sparsity_task
 from repro.models.vgg import VGG
 from repro.serving import ShardedRuntime
+from tests.conftest import reference_conv
 
 #: Seeds of the randomized architectures; together with CASES_PER_ARCH they
 #: give the suite ≥50 cases, each exercising all five execution paths.
@@ -143,6 +145,22 @@ class Arch:
             n = int(rng.integers(1, 7))
             cases.append(Case(task, rng.normal(size=(n,) + self.plan.input_shape)))
         return cases
+
+
+class ReferenceConv:
+    """Stands in for a conv kernel and runs :func:`reference_conv` instead."""
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
+
+    def run(self, x, task, ws, recorder, ctx=None):
+        return reference_conv(self.kernel, x, task)
+
+
+def reference_plan(plan):
+    """``plan`` with every conv lowered as one monolithic im2col GEMM."""
+    kernels = [ReferenceConv(k) if k.kind == "conv" else k for k in plan.kernels]
+    return dataclasses.replace(plan, kernels=kernels)
 
 
 def structural_profile(plan, network: MimeNetwork) -> CalibrationProfile:
@@ -238,7 +256,7 @@ def test_dynamic_sparse_fast_path_is_bit_identical(arch):
 
 # --------------------------------------------------------- kernel variants ----
 def test_blocked_kernel_variants_are_bit_identical(arch):
-    """``blocked`` convs reproduce the dense plan bit for bit.
+    """``blocked`` convs reproduce one monolithic im2col GEMM bit for bit.
 
     The blocked conv's strip-copied panel equals the monolithic im2col
     matrix and image-blocking never splits a GEMM row, so the reduction
@@ -248,16 +266,17 @@ def test_blocked_kernel_variants_are_bit_identical(arch):
     tuned = PlanSpec.from_plan(arch.plan).build()
     forced = force_kernel_variant(tuned, "blocked")
     assert forced, "no conv layer was eligible for the blocked variant"
+    reference = reference_plan(arch.plan)
     for case in arch.cases:
-        dense = arch.plan.run(case.images, case.task)
+        monolithic = reference.run(case.images, case.task)
         blocked = tuned.run(case.images, case.task)
         np.testing.assert_array_equal(
-            blocked, dense, err_msg=f"arch seed {arch.seed}, task {case.task}"
+            blocked, monolithic, err_msg=f"arch seed {arch.seed}, task {case.task}"
         )
 
 
 def test_packed_kernel_variants_are_bit_identical(arch, monkeypatch):
-    """Packed weight panels inside ``blocked`` convs keep the dense plan's bits.
+    """Packed weight panels inside ``blocked`` convs keep the monolithic GEMM's bits.
 
     The packer keeps a multi-panel weight split only after proving it
     bit-exact on this host's BLAS (``_packed_split_exact``) and collapses to
@@ -270,16 +289,17 @@ def test_packed_kernel_variants_are_bit_identical(arch, monkeypatch):
     tuned = PlanSpec.from_plan(arch.plan).build()
     forced = force_kernel_variant(tuned, "blocked")
     assert forced, "no conv layer was eligible for the blocked variant"
+    reference = reference_plan(arch.plan)
     for case in arch.cases:
-        dense = arch.plan.run(case.images, case.task)
+        monolithic = reference.run(case.images, case.task)
         packed = tuned.run(case.images, case.task)
         np.testing.assert_array_equal(
-            packed, dense, err_msg=f"arch seed {arch.seed}, task {case.task}"
+            packed, monolithic, err_msg=f"arch seed {arch.seed}, task {case.task}"
         )
+    # Forcing the conv default also resets FC kernels to ``dense``, which
+    # packs nothing: only the convs must have packed their weight panels.
     assert all(
-        getattr(kernel, "packed", None)
-        for kernel in tuned.kernels
-        if getattr(kernel, "name", None) in forced
+        kernel.packed for kernel in tuned.kernels if kernel.kind == "conv"
     ), "a blocked conv ran without packing its weight panels"
 
 

@@ -207,7 +207,7 @@ def test_workspace_buffers_are_reused_across_calls(network, batch):
     assert all(pool._slabs[label] is slab for label, slab in slabs.items())
 
 
-@pytest.mark.parametrize("variant", ["im2col", "blocked"])
+@pytest.mark.parametrize("variant", ["blocked"])
 def test_every_batch_size_costs_what_the_largest_costs(network, variant):
     """One pool that ran batches 1..16 holds exactly a batch-16 pool's bytes."""
     from repro.engine import WorkspacePool, force_kernel_variant

@@ -37,6 +37,7 @@ from repro.engine.plan import (
 )
 from repro.mime import MimeNetwork, add_structured_sparsity_task
 from repro.models import vgg_tiny
+from tests.conftest import reference_conv
 
 
 def make_linear_kernel(rng, d_in, d_out, mask=False, dtype=np.float32):
@@ -91,11 +92,11 @@ def test_copy_window_strips_equals_naive_im2col(k, s, hw, c_in):
 
 # ------------------------------------------------------------ conv variants ----
 def test_direct_1x1_conv_is_bit_identical_to_im2col():
-    """1x1/stride-1 direct conv degenerates to im2col's exact single GEMM."""
+    """1x1/stride-1 direct conv degenerates to the monolithic im2col GEMM."""
     rng = np.random.default_rng(11)
     kernel, task = make_conv_kernel(rng, c_in=6, c_out=5, hw=7, k=1, s=1, p=0, mask=True)
     x = rng.normal(size=(4, 7, 7, 6)).astype(np.float32)
-    ref = kernel.run(x.copy(), task, WorkspacePool(), None)
+    ref = reference_conv(kernel, x, task)
     kernel.variant = "direct"
     out = kernel.run(x.copy(), task, WorkspacePool(), None)
     np.testing.assert_array_equal(out, ref)
@@ -110,11 +111,8 @@ def test_blocked_conv_bit_identical_across_partial_blocks(monkeypatch):
     monkeypatch.setattr(K, "_COLS_BLOCK_BYTES", 2 * panel_bytes)
     for n in (1, 2, 5):
         x = rng.normal(size=(n, 10, 10, 4)).astype(np.float32)
-        ref = kernel.run(x.copy(), task, WorkspacePool(), None)
-        kernel.variant = "blocked"
         out = kernel.run(x.copy(), task, WorkspacePool(), None)
-        kernel.variant = "im2col"
-        np.testing.assert_array_equal(out, ref, err_msg=f"batch {n}")
+        np.testing.assert_array_equal(out, reference_conv(kernel, x, task), err_msg=f"batch {n}")
 
 
 # ------------------------------------------------------------- packed panels ----
@@ -149,13 +147,12 @@ def test_packed_single_panel_reuses_weight_memory():
 
 def test_blocked_conv_bit_identical_across_panel_splits(monkeypatch):
     """Bit-identity is unconditional: whether the host proof kept the split
-    or collapsed it, ``blocked`` must reproduce ``im2col`` exactly."""
+    or collapsed it, ``blocked`` must reproduce the monolithic GEMM exactly."""
     rng = np.random.default_rng(83)
     kernel, task = make_conv_kernel(rng, c_in=4, c_out=40, hw=8, mask=True)
     monkeypatch.setattr(K, "_PACKED_PANEL_BYTES", 36 * 4 * 18)
     x = rng.normal(size=(3, 8, 8, 4)).astype(np.float32)
-    ref = kernel.run(x.copy(), task, WorkspacePool(), None).copy()
-    kernel.variant = "blocked"
+    ref = reference_conv(kernel, x, task)
     out = kernel.run(x.copy(), task, WorkspacePool(), None)
     assert kernel.packed is packed_weight_panels(kernel), "blocked must run on the panels"
     np.testing.assert_array_equal(out, ref)
@@ -288,13 +285,13 @@ def test_variant_candidates_are_the_lowerings_that_win():
     quantized_fc, _ = make_linear_kernel(rng, d_in=12, d_out=5)
     quantized_fc.quant = quantize_gemm(quantized_fc.weight_t, in_absmax=4.0)
     pool = MaxPoolKernel(index=0, kernel_size=2, stride=2, out_shape=(6, 4, 4))
-    assert list(variant_candidates(conv)) == ["im2col", "blocked", "direct"]
-    assert list(variant_candidates(strided)) == ["im2col", "blocked"]
-    assert list(variant_candidates(quantized_conv)) == ["im2col", "blocked", "direct", "int8"]
+    assert list(variant_candidates(conv)) == ["blocked", "direct"]
+    assert list(variant_candidates(strided)) == ["blocked"]
+    assert list(variant_candidates(quantized_conv)) == ["blocked", "direct", "int8"]
     assert list(variant_candidates(fc)) == ["dense"]
     assert list(variant_candidates(quantized_fc)) == ["dense", "int8"]
     assert list(variant_candidates(pool)) == []
-    assert K.CONV_VARIANTS == ("im2col", "blocked", "direct", "int8")
+    assert K.CONV_VARIANTS == ("blocked", "direct", "int8")
     assert K.LINEAR_VARIANTS == ("dense", "int8")
 
 
@@ -404,17 +401,18 @@ def test_variant_traffic_accounting():
     pool = MaxPoolKernel(index=1, kernel_size=2, stride=2, out_shape=(6, 4, 4))
     x = rng.normal(size=(2, 8, 8, 4)).astype(np.float32)
     ws = WorkspacePool()
-    for variant in ("im2col", "blocked", "direct"):
+    for variant in ("blocked", "direct"):
         kernel.variant = variant
         y = kernel.run(x, task, ws, recorder)
     pool.run(y, task, ws, recorder)
     totals = recorder.variant_totals()
-    assert set(totals) == {"im2col", "blocked", "direct", "pool"}
+    assert set(totals) == {"blocked", "direct", "pool"}
     for name, entry in totals.items():
         assert entry["calls"] == 1
         assert entry["bytes"] > 0
         assert (entry["macs"] > 0) == (name != "pool"), name
-    # The direct path's per-tap GEMMs run over the whole padded plane: the
-    # physical MAC ledger must show more work than the im2col lowering.
-    assert totals["direct"]["macs"] > totals["im2col"]["macs"]
-    assert totals["blocked"]["macs"] == totals["im2col"]["macs"]
+    # blocked executes exactly the layer's semantic MACs (rows x reduction x
+    # width); the direct path's per-tap GEMMs run over the whole padded plane,
+    # so the physical MAC ledger must show more work than that.
+    assert totals["blocked"]["macs"] == 2 * 8 * 8 * kernel.weight_t.size
+    assert totals["direct"]["macs"] > totals["blocked"]["macs"]

@@ -374,6 +374,39 @@ def test_dynamic_row_gather_is_bit_identical_and_saves_macs(batch):
     assert 0.0 < ctx.mac_reduction() < 1.0
 
 
+def test_dynamic_row_gather_inside_image_blocks_is_bit_identical(monkeypatch):
+    """The blocked conv gathers rows per image block, partial last block too.
+
+    The block budget is shrunk so a 16-image batch splits into 3+3+3+3+3+1
+    images on the 8x8 conv (and 6+6+4 on the 4x4 one); a coalesced batch
+    additionally slices per-row thresholds alongside each block.
+    """
+    from repro.engine import kernels as K
+
+    net = _high_sparsity_network()
+    second = net.add_task("sparse2", 4, rng=np.random.default_rng(6))
+    for param in second.thresholds:
+        param.data[:] = 2.5
+    plan = compile_network(net, dtype=np.float64)
+    conv = plan.kernels[2]  # 8x8 outputs over a 72-wide reduction
+    panel_bytes = conv.out_shape[1] * conv.out_shape[2] * conv.weight_t.shape[0] * 8
+    monkeypatch.setattr(K, "_COLS_BLOCK_BYTES", 3 * panel_bytes)
+    images = np.random.default_rng(9).normal(size=(16, 3, 16, 16))
+    rows = ["sparse", "sparse2"] * 8
+    runs = {
+        "run": lambda ctx=None: plan.run(images, "sparse", ctx=ctx),
+        "run_mixed": lambda ctx=None: plan.run_mixed(images, rows, ctx=ctx),
+    }
+    dense = {name: run() for name, run in runs.items()}  # plan.dynamic is None
+    enable_dynamic_sparse(plan, gate=0.2, crossover=1.0)
+    for name, run in runs.items():
+        ctx = RunContext(plan.dynamic)
+        np.testing.assert_array_equal(run(ctx), dense[name], err_msg=name)
+        # More gathers than GEMM kernels: the convs gather once per block.
+        assert ctx.dynamic_gemms > 3, name
+        assert ctx.effective_macs < ctx.dense_macs, name
+
+
 def test_dynamic_gate_keeps_dense_traffic_dense(plan, batch):
     # Thresholds of the fixture's *live* channels are small, but the first
     # conv sees a dense image: prev_sparsity starts at 0, so with a high gate
