@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -247,6 +248,12 @@ class PlanSet:
         return total
 
 
+def _call_if_alive(ref: "weakref.ref[BaseRuntime]", method: str, default):
+    """``ref().method()``, or ``default`` once the runtime is gone."""
+    runtime = ref()
+    return default if runtime is None else getattr(runtime, method)()
+
+
 class BaseRuntime:
     """Common intake/batching/metrics core of the serving backends."""
 
@@ -299,6 +306,10 @@ class BaseRuntime:
         # reports and window boundaries live in one clock domain.
         self.metrics = ServingMetrics(clock=clock)
         self._clock = clock
+        # Nothing the runtime owns may hold it strongly: with no cycle, a
+        # stopped runtime and its PlanSet are freed by refcount the moment
+        # the last outside reference goes, not at the next full GC.
+        runtime = weakref.ref(self)
         self._batcher = DynamicBatcher(
             micro_batch=micro_batch,
             max_wait=max_wait,
@@ -307,7 +318,7 @@ class BaseRuntime:
             clock=clock,
             # Late-bound through self._plans so hot-swaps retarget the
             # group map without touching the batcher.
-            coalesce=(lambda task: self._plans.coalescing_group(task))
+            coalesce=(lambda task: runtime()._plans.coalescing_group(task))
             if self.coalesce
             else None,
         )
@@ -319,9 +330,9 @@ class BaseRuntime:
             self.metrics,
             clock,
             interval=window_interval,
-            queue_depths=self.queue_depths,
-            shard_depths=self.shard_depths,
-            report=self.report,
+            queue_depths=self._batcher.depth_by_task,
+            shard_depths=lambda: _call_if_alive(runtime, "shard_depths", {}),
+            report=lambda: _call_if_alive(runtime, "report", None),
         )
         self._submit_lock = threading.Lock()
         self._submitted = 0
@@ -743,10 +754,6 @@ class BaseRuntime:
         return self._batcher.pending()
 
     # ----------------------------------------------------------------- gauges --
-    def queue_depths(self) -> Dict[str, int]:
-        """Instantaneous queued requests per task (open + ready batches)."""
-        return self._batcher.depth_by_task()
-
     def shard_depths(self) -> Dict[int, int]:
         """Instantaneous in-flight depth per shard.
 

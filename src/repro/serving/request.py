@@ -16,6 +16,12 @@ from typing import Optional
 import numpy as np
 
 
+#: Serialises completion so the first set_result/set_error wins.  One lock for
+#: every future: completing is a few attribute writes, and a per-future guard
+#: would cost more memory than the contention it saves.
+_COMPLETION_LOCK = threading.Lock()
+
+
 class AdmissionError(RuntimeError):
     """Base class for requests refused at the door."""
 
@@ -62,6 +68,12 @@ class ServingResult:
     Timestamps are on the runtime's clock (``time.monotonic()`` by default):
     ``arrival_time`` at admission, ``start_time`` when the executing worker
     launched the micro-batch, ``finish_time`` when the logits were ready.
+
+    The future completes once: the first :meth:`set_result` or
+    :meth:`set_error` wins and any later call is a silent no-op.  Waiting
+    rides on one bare lock held from construction until completion, so a
+    retained future costs a lock instead of an ``Event`` (a condition, a
+    lock, a dict and a deque).
     """
 
     __slots__ = (
@@ -71,7 +83,8 @@ class ServingResult:
         "deadline",
         "start_time",
         "finish_time",
-        "_event",
+        "_pending",
+        "_done",
         "_logits",
         "_error",
     )
@@ -85,31 +98,56 @@ class ServingResult:
         self.deadline = deadline
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
-        self._event = threading.Event()
+        self._pending = threading.Lock()
+        self._pending.acquire()
+        self._done = False
         self._logits: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
 
     # ------------------------------------------------------------- producer --
     def set_result(self, logits: np.ndarray, start_time: float, finish_time: float) -> None:
-        self._logits = logits
-        self.start_time = start_time
-        self.finish_time = finish_time
-        self._event.set()
+        with _COMPLETION_LOCK:
+            if self._done:
+                return
+            self._logits = logits
+            self.start_time = start_time
+            self.finish_time = finish_time
+            self._complete()
 
     def set_error(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
+        with _COMPLETION_LOCK:
+            if self._done:
+                return
+            self._error = error
+            self._complete()
+
+    def _complete(self) -> None:
+        # Release before publishing ``_done`` so a caller that saw done()
+        # never finds the lock still held.
+        self._pending.release()
+        self._done = True
 
     # ------------------------------------------------------------- consumer --
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """Block until the logits are ready (or raise the execution error)."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.index} ({self.task}) not completed within {timeout}s"
+        """Block until the logits are ready (or raise the execution error).
+
+        ``timeout=None`` waits forever; ``timeout <= 0`` only polls.
+        """
+        if not self._done:
+            # Lock.acquire waits forever on -1 and rejects other negatives.
+            acquired = self._pending.acquire(
+                timeout=-1 if timeout is None else max(timeout, 0.0)
             )
+            if acquired:
+                # Pass the lock straight on: every waiter and later call gets through.
+                self._pending.release()
+            elif not self._done:
+                raise TimeoutError(
+                    f"request {self.index} ({self.task}) not completed within {timeout}s"
+                )
         if self._error is not None:
             raise self._error
         assert self._logits is not None

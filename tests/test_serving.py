@@ -9,8 +9,11 @@ workspace pools differ.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from repro.serving import (
     QueueFullError,
     RequestCancelledError,
     RuntimeClosedError,
+    ServingResult,
     ServingRuntime,
+    ShardedRuntime,
 )
 
 TASK_NAMES = ("alpha", "beta", "gamma")
@@ -373,3 +378,125 @@ def test_load_generator_replay_end_to_end(served):
         outputs = [future.result(timeout=30.0) for future in futures]
     assert len(outputs) == 20
     assert runtime.report().deadline_misses == 0
+
+
+# ------------------------------------------------------------ release -------
+def _serve_mixed_batch(runtime):
+    stream = mixed_stream(21, 6)
+    futures = [runtime.submit(task, image) for task, image in stream]
+    runtime.start()
+    report = runtime.stop(drain=True)
+    assert report.completed == len(stream)
+    return futures
+
+
+@pytest.mark.parametrize(
+    "make, serve",
+    [
+        (lambda plan: ServingRuntime(plan, workers=1), None),
+        (
+            lambda plan: ServingRuntime(
+                plan, micro_batch=8, max_wait=5.0, workers=1, coalesce=True
+            ),
+            _serve_mixed_batch,
+        ),
+        (
+            lambda plan: ShardedRuntime(plan, micro_batch=8, max_wait=5.0, workers=1),
+            _serve_mixed_batch,
+        ),
+    ],
+    ids=["never-started", "thread-coalesced", "process"],
+)
+def test_dropped_runtime_frees_its_plans_without_gc(served, make, serve):
+    network, _, _ = served
+    plan = compile_network(network, dtype=np.float32)
+    gc.collect()
+    gc.disable()
+    try:
+        runtime = make(plan)
+        futures = serve(runtime) if serve is not None else []
+        runtime_ref, plan_ref = weakref.ref(runtime), weakref.ref(plan)
+        del runtime, plan
+        # Refcount alone must free the runtime and its PlanSet: nothing the
+        # runtime owns may point back at it.
+        assert runtime_ref() is None
+        assert plan_ref() is None
+    finally:
+        gc.enable()
+    # Retained futures still hold their logits.
+    assert all(future.result(timeout=0).shape == (5,) for future in futures)
+
+
+# -------------------------------------------------------------- futures -----
+def test_future_completes_once_and_later_calls_are_no_ops():
+    future = ServingResult(0, "alpha", 0.0)
+    assert not future.done()
+    logits = np.arange(5.0)
+    future.set_result(logits, 1.0, 2.0)
+    assert future.done()
+    future.set_result(np.zeros(5), 3.0, 4.0)
+    future.set_error(RuntimeError("late"))
+    assert future.result(timeout=0) is logits
+    assert (future.start_time, future.finish_time) == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0])
+def test_pending_future_polls_for_non_positive_timeouts(timeout):
+    future = ServingResult(0, "alpha", 0.0)
+    began = time.perf_counter()
+    with pytest.raises(TimeoutError):
+        future.result(timeout=timeout)
+    assert time.perf_counter() - began < 1.0
+    assert not future.done()
+
+
+def test_every_waiter_and_later_call_gets_the_same_logits():
+    future = ServingResult(0, "alpha", 0.0)
+    logits = np.arange(5.0)
+    received = []
+    waiters = [
+        threading.Thread(target=lambda: received.append(future.result(timeout=10.0)))
+        for _ in range(8)
+    ]
+    for waiter in waiters:
+        waiter.start()
+    time.sleep(0.05)
+    assert not future.done()
+    future.set_result(logits, 1.0, 2.0)
+    for waiter in waiters:
+        waiter.join(10.0)
+    assert len(received) == 8 and all(row is logits for row in received)
+    assert future.result() is logits
+    assert future.result(timeout=0) is logits
+
+
+def test_error_future_reraises_on_every_call():
+    future = ServingResult(0, "alpha", 0.0)
+    future.set_error(RequestCancelledError("gone"))
+    assert future.done()
+    for timeout in (None, 0, 1.0):
+        with pytest.raises(RequestCancelledError, match="gone"):
+            future.result(timeout=timeout)
+    future.set_result(np.zeros(5), 1.0, 2.0)
+    with pytest.raises(RequestCancelledError):
+        future.result()
+
+
+def test_completed_futures_are_small():
+    count = 10_000
+    logits = np.zeros((count, 5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        futures = []
+        for index in range(count):
+            future = ServingResult(index, "alpha", float(index))
+            future.set_result(logits[index], 1.0, 2.0)
+            futures.append(future)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(future.done() for future in futures)
+    # Each future keeps its slots, its lock, its logits row view and its
+    # arrival timestamp; an Event-based future retained about 1.4 KB.
+    assert retained / count < 600
