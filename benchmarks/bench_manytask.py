@@ -16,9 +16,10 @@ per-row mask epilogue.  Three properties are asserted:
   two micro-batches, the production configuration (the serving examples
   default to a bounded queue).  That is the regime where the many-task cost
   is real: a bounded queue cannot hold deep per-task buckets for 100 tasks,
-  so affinity micro-batches close by the ``max_wait`` timer with one or two
-  rows each, while the coalescing batcher keeps filling full micro-batches
-  from the very same queue.  Plans run the chooser-tuned kernel variants
+  so affinity micro-batches close with one or two rows each (an idle worker
+  takes the oldest open bucket; the ``max_wait`` timer only while all are
+  busy), while the coalescing batcher keeps filling full micro-batches from
+  the very same queue.  Plans run the chooser-tuned kernel variants
   (``autotune_kernel_variants`` at the serving micro-batch), as serving
   would, and each configuration takes the best of three drains (shared-host
   noise shows up as multi-hundred-ms stalls, never as a speedup);
@@ -54,7 +55,7 @@ from repro.engine import autotune_kernel_variants, compile_network, specialize_t
 from repro.engine.planspec import PlanSetSpec
 from repro.mime import MimeNetwork, add_structured_sparsity_task
 from repro.models import vgg_small, vgg_tiny
-from repro.serving import BACKENDS, LoadGenerator, ServingRuntime
+from repro.serving import BACKENDS, LoadGenerator
 from repro.serving.base import PlanSet
 
 
@@ -116,9 +117,10 @@ def _drain(
     bound, the runtime starts *first* and the trace is submitted with
     blocking admission: the closed-loop production regime the throughput
     comparison measures, where the queue can never hold more than
-    ``max_pending`` rows and fragmented per-task buckets close by the
-    ``max_wait`` timer.  ``repeats`` re-runs the drain and keeps the highest
-    throughput (host noise only ever slows a run down).
+    ``max_pending`` rows and fragmented per-task buckets close partial (on a
+    free worker, or on the ``max_wait`` timer while every worker is busy).
+    ``repeats`` re-runs the drain and keeps the highest throughput (host
+    noise only ever slows a run down).
     """
     tasks = plan.task_names()
     generator = LoadGenerator.zipf(tasks, rate=1000.0)  # trace passed explicitly

@@ -11,7 +11,9 @@ a mixed-task Poisson workload.  Four properties are asserted:
   with fewer than 2 cores, where thread parallelism cannot help);
 * under light load, p95 latency respects the dynamic batcher's configured
   ``max_wait`` deadline plus a service/scheduling budget
-  (``SERVING_BENCH_P95_BUDGET`` seconds, default 0.25); and
+  (``SERVING_BENCH_P95_BUDGET`` seconds, default 0.25) — an upper bound
+  only, since an idle thread worker takes an open batch without waiting on
+  the timer; and
 * on a compute-heavy plan with ≥4 cores, the **process** backend at 4
   workers beats the **thread** backend at 4 workers by at least
   ``SERVING_PROCESS_MIN_SPEEDUP``x (default 1.5x) — the GIL-escape payoff of
@@ -245,7 +247,7 @@ def test_p95_latency_respects_max_wait(served_plan, image_pools, smoke):
     report = runtime.report()
 
     print()
-    print("Light-load latency (batches close on the max-wait deadline):")
+    print("Light-load latency (an idle worker closes each batch; max-wait bounds the rest):")
     print(report.summary())
     assert report.completed == num_requests
     assert report.latency.p95 <= max_wait + P95_BUDGET, (

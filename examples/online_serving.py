@@ -8,7 +8,7 @@ example runs the full *online* story the serving subsystem adds:
 2. generate three synthetic traffic scenarios with :class:`LoadGenerator` —
    uniform, skewed (one hot task) and bursty Poisson arrivals;
 3. serve each through a :class:`ServingRuntime` — dynamic batching closed on
-   size *or* max-wait, deadline-aware scheduling, worker threads with private
+   size, on a free worker or on max-wait, deadline-aware scheduling, worker threads with private
    workspace pools, bounded-queue admission control — and print the latency
    percentiles / throughput / task-switch report;
 4. feed the *measured online schedule* into the systolic-array simulator: the
@@ -73,7 +73,7 @@ def main() -> None:
             plan,
             policy="fifo-deadline",
             micro_batch=8,
-            max_wait=0.01,           # a lone request waits at most 10 ms for company
+            max_wait=0.01,           # waits for company only while both workers are busy
             workers=2,               # two worker threads over one immutable plan
             max_pending=512,         # admission control: bounded request queue
         )

@@ -538,7 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rate", type=float, default=500.0,
                        help="mean request arrival rate (requests/second)")
     serve.add_argument("--max-wait", type=float, default=0.01,
-                       help="dynamic batching deadline in seconds (batch closes on size or this)")
+                       help="dynamic batching deadline in seconds: a batch closes on size, "
+                            "on an idle thread worker, or after this long (the process "
+                            "backend has no idle trigger)")
     serve.add_argument("--max-queue", type=positive_int, default=256,
                        help="admission-control bound on pending requests")
     serve.add_argument("--deadline", type=float, default=None,

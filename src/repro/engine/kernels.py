@@ -53,6 +53,7 @@ the same reason.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import time
 from dataclasses import dataclass
@@ -133,11 +134,12 @@ class WorkspacePool:
 
     A plan is a chain of kernels, so every buffer has one of two lifetimes.
     **Scratch** — pad planes, the blocked conv's image-block ``panel``,
-    masks, the ``tap`` and int8 ``q*`` temporaries, and a mixed batch's per-row
-    ``mixthr<slot>`` thresholds (which live for the whole run) — gets one
-    growable slab per label, shared by every kernel of every plan: two
-    buffers live in one kernel call always carry different labels, so they
-    never alias.  A kernel **output** dies when the next kernel returns, so
+    masks, the ``tap`` and int8 ``q*`` temporaries, the ``rowpad``/``rowprod``
+    padding of GEMMs under 8 rows, and the channels-last ``input`` copy and a
+    mixed batch's per-row ``mixthr<slot>`` thresholds (which live for the
+    whole run) — gets one growable slab per label, shared by every kernel of
+    every plan: two buffers live in one kernel call always carry different
+    labels, so they never alias.  A kernel **output** dies when the next kernel returns, so
     outputs alternate between two slabs and :meth:`output` hands each kernel
     the one that does not hold its input.  The pool therefore holds what one
     kernel call keeps live, at the largest batch seen, however many kernels,
@@ -150,6 +152,15 @@ class WorkspacePool:
     rely on zeros from allocation: pad planes re-zero their border
     (:func:`zero_border`) and the channel scatter zeroes its dead channels
     on every call.
+
+    Each slab is a private anonymous memory mapping of its own, not a
+    ``malloc`` block (so ``tracemalloc`` does not see slabs).  A serving
+    worker's pool regrows a slab each time a batch is the largest yet, up to
+    ``micro_batch`` times per label, and once set-up's large frees have
+    raised glibc's mmap threshold above slab sizes, each replaced ``malloc``
+    block would stay behind as a hole in the worker's arena that the next,
+    larger slab cannot reuse.  A mapping goes back to the system as soon as
+    its slab is replaced or its pool is dropped.
 
     A pool serves one thread at a time; :meth:`EnginePlan.run
     <repro.engine.plan.EnginePlan.run>` uses a per-thread default pool unless
@@ -171,7 +182,7 @@ class WorkspacePool:
             nbytes = math.prod(shape) * np.dtype(dtype).itemsize
             slab = self._slabs.get(label)
             if slab is None or slab.nbytes < nbytes:
-                slab = self._slabs[label] = np.empty(nbytes, dtype=np.uint8)
+                slab = self._slabs[label] = _mapped_slab(nbytes)
                 # Cached views of the old slab would keep it alive.
                 self._views = {key: v for key, v in self._views.items() if key[0] != label}
             view = slab[:nbytes].view(dtype).reshape(shape)
@@ -190,6 +201,12 @@ class WorkspacePool:
 
     def __len__(self) -> int:
         return len(self._slabs)
+
+
+def _mapped_slab(nbytes: int) -> np.ndarray:
+    """``nbytes`` uninitialised bytes in a private anonymous mapping."""
+    region = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(region, dtype=np.uint8)
 
 
 def zero_border(plane: np.ndarray, p: int, h: int, w: int) -> None:
@@ -213,7 +230,9 @@ def zero_border(plane: np.ndarray, p: int, h: int, w: int) -> None:
 _SGEMM_MIN_ROWS = 8
 
 
-def matmul_rowsafe(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def matmul_rowsafe(
+    a: np.ndarray, b: np.ndarray, ws: WorkspacePool, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``a @ b`` whose per-row results match the same rows in any batch size.
 
     BLAS dispatches small-M products (a single request's FC layer, a task
@@ -224,18 +243,24 @@ def matmul_rowsafe(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = Non
     coalesced mixed-task batch is bit-identical to per-task execution of the
     same rows.  Padding small batches to :data:`_SGEMM_MIN_ROWS` (the extra
     rows are zeros and discarded) keeps every call on the one sgemm path,
-    whose per-row reductions are independent of M.  Integer (int8) GEMMs
-    accumulate exactly at any M and never need this detour.
+    whose per-row reductions are independent of M.  The padded operand and
+    its product live in ``ws`` (labels ``rowpad``/``rowprod``, which no
+    kernel shares), so a small batch allocates only its result, and only
+    when ``out`` is not given.  Integer (int8) GEMMs accumulate exactly at
+    any M and never need this detour.
     """
     m = a.shape[0]
     if m >= _SGEMM_MIN_ROWS:
         return np.matmul(a, b, out=out)
-    padded = np.zeros((_SGEMM_MIN_ROWS,) + a.shape[1:], dtype=a.dtype)
+    dtype = np.result_type(a.dtype, b.dtype)
+    padded = ws.get("rowpad", (_SGEMM_MIN_ROWS,) + a.shape[1:], a.dtype)
     padded[:m] = a
-    result = np.matmul(padded, b)
+    padded[m:] = 0
+    product = ws.get("rowprod", (_SGEMM_MIN_ROWS, b.shape[1]), dtype)
+    np.matmul(padded, b, out=product)
     if out is None:
-        return result[:m]
-    out[:] = result[:m]
+        return product[:m].copy()
+    out[:] = product[:m]
     return out
 
 
@@ -424,7 +449,7 @@ def _padded_input(kernel, x: np.ndarray, ws) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The default lowerings and their dynamic sparse fast path.
 # ---------------------------------------------------------------------------
-def _gemm_with_dynamic_row_gather(kernel, a: np.ndarray, out: np.ndarray, ctx) -> bool:
+def _gemm_with_dynamic_row_gather(kernel, a: np.ndarray, out: np.ndarray, ws, ctx) -> bool:
     """``out = a @ kernel.weight_t + kernel.bias``, row-gathered when it pays.
 
     When the run context's gate says the previous masked layer was sparse
@@ -445,11 +470,11 @@ def _gemm_with_dynamic_row_gather(kernel, a: np.ndarray, out: np.ndarray, ctx) -
         if live_rows / rows <= ctx.dynamic.crossover_for(kernel.name):
             out[:] = kernel.bias
             if live_rows:
-                out[live] = matmul_rowsafe(a[live], kernel.weight_t) + kernel.bias
+                out[live] = matmul_rowsafe(a[live], kernel.weight_t, ws) + kernel.bias
             ctx.dynamic_gemms += 1
             ctx.effective_macs += live_rows * reduction * width
             return True
-    matmul_rowsafe(a, kernel.weight_t, out=out)
+    matmul_rowsafe(a, kernel.weight_t, ws, out=out)
     out += kernel.bias
     if ctx is not None:
         ctx.effective_macs += rows * reduction * width
@@ -474,7 +499,7 @@ def run_linear_dense(kernel, x, task, ws, recorder, ctx):
     """
     n = x.shape[0]
     out = ws.output(x, (n, kernel.weight_t.shape[1]), x.dtype)
-    used = "dynamic" if _gemm_with_dynamic_row_gather(kernel, x, out, ctx) else "dense"
+    used = "dynamic" if _gemm_with_dynamic_row_gather(kernel, x, out, ws, ctx) else "dense"
     if ctx is not None:
         ctx.dense_macs += n * kernel.dense_macs_per_image
     record_variant_traffic(recorder, used, *linear_variant_traffic(kernel, n, "dense"))
@@ -534,12 +559,12 @@ def run_conv_blocked(kernel, x, task, ws, recorder, ctx):
         copy_window_strips(panel, src[b0 : b0 + nb], nb, h_out, w_out, k, s, c_in)
         tile = out[b0 * spi : (b0 + nb) * spi]
         if gate_open:
-            gathered |= _gemm_with_dynamic_row_gather(kernel, panel, tile, ctx)
+            gathered |= _gemm_with_dynamic_row_gather(kernel, panel, tile, ws, ctx)
         else:
             # Row-stable like the gather path's GEMMs, so a tiny block (fewer
             # than 8 rows) reduces identically whichever way the gate falls.
             for j0, j1, wpanel in panels:
-                matmul_rowsafe(panel, wpanel, out=tile[:, j0:j1])
+                matmul_rowsafe(panel, wpanel, ws, out=tile[:, j0:j1])
             np.add(tile, kernel.bias, out=tile)
         if kernel.mask is not None:
             gemm = tile.reshape(nb, spi, c_out)
@@ -676,7 +701,7 @@ def run_conv_direct(kernel, x, task, ws, recorder, ctx):
     out = ws.output(x, (n * spi, c_out), dtype)
     src = _padded_input(kernel, x, ws)
     if k == 1 and p == 0 and s == 1:
-        matmul_rowsafe(src.reshape(n * h * w, c_in), kernel.weight_t, out=out)
+        matmul_rowsafe(src.reshape(n * h * w, c_in), kernel.weight_t, ws, out=out)
     else:
         h2, w2 = h + 2 * p, w + 2 * p
         plane = n * h2 * w2

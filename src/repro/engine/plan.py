@@ -22,11 +22,11 @@ The fusions mirror what a deployment compiler would do for this topology:
   classifier Linear's columns are permuted at compile time to consume NHWC
   features.  Only the entry batch is transposed at run time; no intermediate
   layout round-trips remain.
-* **workspace reuse** — the image-block im2col panel, the padded-input buffer
-  and the GEMM output live in per-thread slabs keyed by lifetime, sized by the
-  largest batch seen and shared by every kernel of every plan (see
-  :class:`WorkspacePool`), so steady-state serving does no large
-  allocations.
+* **workspace reuse** — the channels-last entry copy, the image-block im2col
+  panel, the padded-input buffer, the small-batch GEMM padding and the GEMM
+  output live in per-thread slabs keyed by lifetime, sized by the largest
+  batch seen and shared by every kernel of every plan (see
+  :class:`WorkspacePool`), so a warm run allocates only its logits.
 
 Task switching is O(1): a :class:`TaskPlan` is a dictionary entry holding the
 pre-cast thresholds and head, and selecting it binds nothing into the shared
@@ -521,14 +521,28 @@ class EnginePlan:
         if ctx is None:
             ctx = RunContext(self.dynamic)
         ctx.prev_sparsity = 0.0  # the raw image batch is dense
-        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=self.dtype)
+        x = self._channels_last(x, pool)
         for kernel in self.kernels:
             x = kernel.run(x, task_plan, pool, recorder, ctx)
-        logits = _kernels.matmul_rowsafe(x, task_plan.head_weight_t) + task_plan.head_bias
+        # The one allocation of a warm run: callers keep row views into it.
+        logits = np.empty((x.shape[0], task_plan.head_weight_t.shape[1]), dtype=x.dtype)
+        _kernels.matmul_rowsafe(x, task_plan.head_weight_t, pool, out=logits)
+        logits += task_plan.head_bias
         head_macs = task_plan.head_weight_t.shape[0] * task_plan.head_weight_t.shape[1]
         ctx.effective_macs += x.shape[0] * head_macs
         ctx.dense_macs += x.shape[0] * (task_plan.head_dense_macs or head_macs)
         return logits
+
+    def _channels_last(self, x: np.ndarray, pool: WorkspacePool) -> np.ndarray:
+        """The NCHW batch ``x`` as a channels-last plan-dtype copy in ``pool``.
+
+        Its ``input`` label is the first kernel's input and no kernel asks
+        for it, so it stays intact while that kernel reads it.
+        """
+        n, c, h, w = x.shape
+        nhwc = pool.get("input", (n, h, w, c), self.dtype)
+        nhwc[...] = x.transpose(0, 2, 3, 1)
+        return nhwc
 
     def run_mixed(
         self,
@@ -616,14 +630,14 @@ class EnginePlan:
             mixed_thresholds[spec.slot] = buf
         view = MixedTaskView(next(iter(widths)), mixed_thresholds)
 
-        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=self.dtype)
+        x = self._channels_last(x, pool)
         for kernel in self.kernels:
             x = kernel.run(x, view, pool, recorder, ctx)
 
         logits = np.empty((n, view.num_classes), dtype=x.dtype)
         for name, rows in rows_of.items():
             tp = members[name]
-            logits[rows] = _kernels.matmul_rowsafe(x[rows], tp.head_weight_t) + tp.head_bias
+            logits[rows] = _kernels.matmul_rowsafe(x[rows], tp.head_weight_t, pool) + tp.head_bias
             head_macs = tp.head_weight_t.shape[0] * tp.head_weight_t.shape[1]
             ctx.effective_macs += len(rows) * head_macs
             ctx.dense_macs += len(rows) * (tp.head_dense_macs or head_macs)

@@ -3,7 +3,8 @@
 Where :class:`~repro.engine.MultiTaskEngine` drains a known request set
 offline, this package serves *live* traffic: concurrent clients submit single
 images and get futures back, a deadline-aware dynamic batcher forms per-task
-micro-batches (closed on size or max-wait), a pluggable
+micro-batches (closed on size, on an idle thread worker, or on max-wait), a
+pluggable
 :class:`~repro.engine.scheduling.SchedulingPolicy` orders them, and a pool of
 worker threads executes them in parallel over one immutable
 :class:`~repro.engine.EnginePlan` — each worker with its own

@@ -685,6 +685,11 @@ class BaseRuntime:
             self._intake_active += 1
         try:
             plans = self._plans
+            if not isinstance(task, str):
+                raise TypeError(
+                    "submit expects (task, image): task must be a task name (str), "
+                    f"got {type(task).__name__}; were the arguments swapped?"
+                )
             if task not in plans.plan.tasks:
                 raise KeyError(
                     f"unknown task '{task}'; compiled: {plans.task_names()}"
@@ -769,13 +774,16 @@ class BaseRuntime:
 
         ``state`` is whatever per-worker context the backend passed when it
         launched the loop (a :class:`~repro.engine.WorkspacePool` for thread
-        workers, the router state for the process backend's dispatcher).
-        ``task_done`` runs under a ``finally`` so a batch that fails still
-        releases the swap drain barrier.
+        workers).  ``task_done`` runs under a ``finally`` so a batch that
+        fails still releases the swap drain barrier.
+
+        Only thread workers run this loop, and each executes the batch it
+        takes, so it asks as an idle consumer: an open batch closes the
+        moment a worker is free instead of when ``max_wait`` expires.
         """
         last_task: Optional[str] = None
         while True:
-            batch = self._batcher.next_batch(last_task)
+            batch = self._batcher.next_batch(last_task, idle=True)
             if batch is None:
                 return
             try:

@@ -5,12 +5,18 @@ runtime.  Producers (client threads) push :class:`ServingRequest` objects in;
 consumer workers pull closed :class:`~repro.engine.scheduling.MicroBatch`
 units out.  A per-task *open* batch accumulates until either
 
-* it reaches ``micro_batch`` requests (closed immediately — size trigger), or
+* it reaches ``micro_batch`` requests (closed immediately — size trigger),
 * ``max_wait`` seconds elapse since its first request (closed by whichever
-  worker wakes first — deadline trigger),
+  worker wakes first — deadline trigger), or
+* a consumer that can execute a batch *now* asks for work while nothing is
+  ready (``next_batch(idle=True)`` — work-conserving trigger): the open batch
+  with the earliest deadline closes at once, whatever its size.
 
-so a lone request never waits longer than ``max_wait`` for co-batching, which
-is exactly the latency/throughput knob the benchmark sweeps.
+The thread backend's workers always ask as idle consumers, so there
+``max_wait`` never delays a request while a worker sits idle; it only bounds
+how long a request waits for co-batching while every worker is busy.  The
+process backend's dispatcher cannot tell whether a shard is free and keeps
+the timer, so a lone request there waits up to ``max_wait`` for company.
 
 Admission control: with ``max_pending > 0`` at most that many requests may be
 waiting (open + ready).  Producers choose per call whether to **block** until
@@ -70,7 +76,6 @@ class DynamicBatcher:
         self._seq: Dict[str, int] = {}
         self._pending = 0
         self._in_flight = 0
-        self._served: Dict[str, int] = {}
         self._closed = False
 
     # ---------------------------------------------------------------- intake --
@@ -109,8 +114,8 @@ class DynamicBatcher:
             self._pending += 1
             if len(bucket) >= self.micro_batch:
                 self._close_open(key)
-            # Wake workers either way: a new ready batch, or a new max-wait
-            # timer they must start watching.
+            # Wake workers either way: a new ready batch, or a new open
+            # batch an idle worker takes now (or whose timer it must watch).
             self._work.notify_all()
 
     def requeue_batch(self, batch: MicroBatch) -> None:
@@ -133,12 +138,6 @@ class DynamicBatcher:
         """Requests admitted but not yet handed to a worker."""
         with self._lock:
             return self._pending
-
-    def served_images(self) -> Dict[str, int]:
-        """Images dispatched per task so far (introspection only — policies
-        keep their own scheduling state)."""
-        with self._lock:
-            return dict(self._served)
 
     def depth_by_task(self) -> Dict[str, int]:
         """Instantaneous queued requests per task (open + ready batches).
@@ -181,7 +180,9 @@ class DynamicBatcher:
             self._close_open(task)
 
     # --------------------------------------------------------------- workers --
-    def next_batch(self, last_task: Optional[str] = None) -> Optional[MicroBatch]:
+    def next_batch(
+        self, last_task: Optional[str] = None, idle: bool = False
+    ) -> Optional[MicroBatch]:
         """Block until a batch is ready and return it; ``None`` on shutdown.
 
         The scheduling policy chooses among the ready batches;
@@ -189,18 +190,25 @@ class DynamicBatcher:
         minimise (singular) or maximise (pipelined) task alternation per
         worker.  Returns ``None`` only once the batcher is closed *and*
         drained.
+
+        ``idle=True`` says the caller executes the batch itself, now: when
+        nothing is ready, the open batch with the earliest ``max_wait``
+        deadline closes early and is returned instead of the caller
+        sleeping on its timer.  Only that one batch closes (other buckets
+        keep filling), and ready batches — full ones included — still go
+        through the policy first.
         """
         with self._lock:
             while True:
                 now = self._clock()
                 self._close_expired(now)
+                if idle and not self._ready and self._close_at:
+                    self._close_open(min(self._close_at, key=self._close_at.__getitem__))
                 if self._ready:
                     batch = self.policy.pick(self._ready, last_task)
                     self._ready.remove(batch)
                     self._pending -= len(batch)
                     self._in_flight += 1
-                    for name in batch.tasks:
-                        self._served[name] = self._served.get(name, 0) + 1
                     self._can_submit.notify_all()
                     return batch
                 if self._closed and not self._open:

@@ -38,10 +38,12 @@ class ManualClock:
     Drop-in for ``time.monotonic`` wherever a clock is injectable (the
     batcher, the runtimes, :meth:`LoadGenerator.replay`): reading it returns
     the last value set, so latency/queue-wait/deadline arithmetic becomes
-    exact instead of wall-clock-dependent.  Note that a *running* runtime's
-    workers still sleep real seconds between re-checks of the batcher's
-    max-wait timer — advancing the clock changes what those re-checks
-    observe, not how long they sleep.
+    exact instead of wall-clock-dependent.  An idle thread worker takes an
+    open batch at once, so a lone request on the thread backend never waits
+    on the clock.  The max-wait timer only matters while every worker is busy
+    and on the process backend's dispatcher, which still sleep real seconds
+    between re-checks of it — advancing the clock changes what those
+    re-checks observe, not how long they sleep.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -129,8 +131,9 @@ class LoadGenerator:
 
         The canonical mix for the 50–200-task coalescing regime: a few tasks
         dominate, but the tail is wide enough that per-task batches of the
-        cold tasks close on ``max_wait`` with one or two rows — exactly the
-        fragmentation cross-task coalescing repairs.  Deterministic under a
+        cold tasks close with one or two rows (on a free worker, or on
+        ``max_wait`` while all are busy) — exactly the fragmentation
+        cross-task coalescing repairs.  Deterministic under a
         fixed ``seed`` like every other scenario.
         """
         if alpha <= 0:

@@ -4,15 +4,18 @@
 into a concurrent service: clients ``submit()`` single images from any thread
 and receive a :class:`~repro.serving.request.ServingResult` future; a
 :class:`~repro.serving.batcher.DynamicBatcher` groups arrivals into per-task
-micro-batches (closed on size or ``max_wait``); and a pool of worker threads
-executes batches over the **shared, immutable** plan — each worker owns a
-private :class:`~repro.engine.WorkspacePool`, shared by every plan it runs
-and sized by one kernel call's live buffers (so hot-swaps and task counts
-never grow it), and the NumPy GEMMs (which release the GIL) run genuinely
-in parallel across workers serving *different* tasks.  That is the software
-analogue of the paper's pipelined hardware scenario, and the measured
-schedule/sparsity feed the same systolic-array simulator via
-:meth:`ServingRuntime.hardware_report`.
+micro-batches; and a pool of worker threads executes batches over the
+**shared, immutable** plan.  Batching is work-conserving: a worker that asks
+for work while a batch is open takes it at once, so a batch closes on size,
+on a free worker, or — only while every worker is busy — on ``max_wait``.
+Each worker owns a private :class:`~repro.engine.WorkspacePool`, shared by
+every plan it runs and sized by one kernel call's live buffers (so hot-swaps
+and task counts never grow it); the stacked request batch lives there too,
+so a warm batch allocates only its logits.  The NumPy GEMMs (which release
+the GIL) run genuinely in parallel across workers serving *different*
+tasks.  That is the software analogue of the paper's pipelined hardware
+scenario, and the measured schedule/sparsity feed the same systolic-array
+simulator via :meth:`ServingRuntime.hardware_report`.
 
 Everything except the worker threads themselves lives in
 :class:`~repro.serving.base.BaseRuntime`, which this class shares with the
@@ -77,7 +80,13 @@ class ServingRuntime(BaseRuntime):
     ) -> None:
         index, pool = state
         requests: List[ServingRequest] = batch.requests  # type: ignore[assignment]
-        images = np.stack([request.image for request in requests])
+        # Stacked in the worker's pool: a fresh array per batch would grow
+        # this thread's malloc arena when batches hold one or two rows.
+        first = requests[0].image
+        dtype = np.result_type(*(request.image.dtype for request in requests))
+        images = pool.get("requests", (len(requests),) + first.shape, dtype)
+        for row, request in zip(images, requests):
+            row[...] = request.image
         start = self._clock()
         # One snapshot read per batch: the whole batch executes against a
         # single consistent plan set even if a swap lands mid-flight.

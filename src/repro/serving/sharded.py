@@ -624,6 +624,11 @@ class ShardedRuntime(BaseRuntime):
         retry queue, or from the in-flight table of the dying shard).  The
         dispatcher therefore only exits when the batcher is drained **and**
         nothing is in flight or awaiting retry.
+
+        Unlike thread workers it does not ask as an idle consumer: it routes
+        a batch and returns for the next one at once, so being free says
+        nothing about whether any shard is, and open batches keep closing on
+        size or ``max_wait``.
         """
         last_task: Optional[str] = None
         while True:

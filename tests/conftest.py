@@ -81,10 +81,11 @@ def reference_conv(kernel, x: np.ndarray, task) -> np.ndarray:
     One full-batch im2col panel (``copy_window_strips`` over a zero-padded
     copy of the NHWC input), one GEMM with ``weight_t`` (``np.matmul``, padded
     to sgemm height below 8 rows like every engine GEMM), ``+ bias``, then
-    the task's threshold mask.  Allocates everything fresh, so it shares no
-    workspace with the kernel under test.
+    the task's threshold mask.  Allocates everything fresh (the GEMM padding
+    in a throwaway pool), so it shares no workspace with the kernel under
+    test.
     """
-    from repro.engine.kernels import copy_window_strips, matmul_rowsafe
+    from repro.engine.kernels import WorkspacePool, copy_window_strips, matmul_rowsafe
 
     n = x.shape[0]
     c_in, h, w = kernel.in_shape
@@ -94,7 +95,8 @@ def reference_conv(kernel, x: np.ndarray, task) -> np.ndarray:
     src[:, p : p + h, p : p + w] = x
     cols = np.empty((n * h_out * w_out, k * k * c_in), src.dtype)
     copy_window_strips(cols, src, n, h_out, w_out, k, s, c_in)
-    out = (matmul_rowsafe(cols, kernel.weight_t) + kernel.bias).reshape(n, h_out * w_out, c_out)
+    gemm = matmul_rowsafe(cols, kernel.weight_t, WorkspacePool()) + kernel.bias
+    out = gemm.reshape(n, h_out * w_out, c_out)
     if kernel.mask is not None:
         out *= out >= task.thresholds[kernel.mask.slot]
     return out.reshape(n, h_out, w_out, c_out)

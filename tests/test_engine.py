@@ -209,18 +209,27 @@ def test_workspace_buffers_are_reused_across_calls(network, batch):
 
 @pytest.mark.parametrize("variant", ["blocked"])
 def test_every_batch_size_costs_what_the_largest_costs(network, variant):
-    """One pool that ran batches 1..16 holds exactly a batch-16 pool's bytes."""
+    """One pool that ran batches 1..16 holds exactly a batch-16 pool's slabs,
+    plus the fixed 8-row padding that only batches under 8 rows need."""
     from repro.engine import WorkspacePool, force_kernel_variant
 
     plan = compile_network(network)
     force_kernel_variant(plan, variant)
     images = np.random.default_rng(3).normal(size=(16, 3, 16, 16))
-    swept, largest = WorkspacePool(), WorkspacePool()
+    swept, largest, smallest = WorkspacePool(), WorkspacePool(), WorkspacePool()
     for n in range(1, 17):
         plan.run(images[:n], "alpha", workspaces=swept)
     plan.run(images, "alpha", workspaces=largest)
+    plan.run(images[:1], "alpha", workspaces=smallest)
 
-    assert (len(swept), swept.nbytes) == (len(largest), largest.nbytes)
+    def sizes(pool):
+        return {label: slab.nbytes for label, slab in pool._slabs.items()}
+
+    # ``matmul_rowsafe`` pads GEMMs under 8 rows to 8 (``rowpad``/``rowprod``):
+    # those slabs do not grow with the batch, so batch 1 sizes them.
+    padding = {label: sizes(smallest)[label] for label in ("rowpad", "rowprod")}
+    assert "rowpad" not in sizes(largest)
+    assert sizes(swept) == {**sizes(largest), **padding}
 
 
 # ------------------------------------------------------------- hardware glue --
@@ -515,9 +524,9 @@ def test_mask_buffers_are_pooled_and_reused(network, batch):
 def test_warm_runs_allocate_no_workspace_memory(network):
     """A warm ``run`` and ``run_mixed`` allocate nothing workspace-sized.
 
-    What remains is the channels-last copy of the input batch and the
-    logits; any kernel buffer taken outside the pool would at least double
-    the traced peak.
+    What remains is the logits (the channels-last input copy lives in the
+    pool too); any kernel buffer taken outside the pool would at least
+    double the traced peak.
     """
     import tracemalloc
 
@@ -541,13 +550,95 @@ def test_warm_runs_allocate_no_workspace_memory(network):
         assert peak < 2 * images.nbytes, f"{name} peaked at {peak} bytes"
 
 
-def test_calibrate_plan_leaves_no_scratch_behind(network):
-    """Calibration runs on a private pool: its batch-32 scratch is freed."""
-    import gc
+@pytest.mark.parametrize("rows", [1, 3])
+def test_warm_small_batches_allocate_only_their_logits(rows):
+    """Small warm batches take every batch-sized temporary from the pool.
+
+    A warm ``run`` and ``run_mixed`` of 1 or 3 rows, and one warm serving
+    batch (which also stacks the request images), must peak under the bytes
+    of the images themselves: a fresh stack, channels-last copy or 8-row
+    GEMM pad would each add about that much.  The images are 64x64 so that
+    one of them outweighs what any small call allocates regardless of the
+    batch, chiefly NumPy's ufunc iterator buffer (up to 8192 elements, about
+    33 KB) on broadcasting ops such as the bias add.
+    """
     import tracemalloc
+
+    from repro.engine import WorkspacePool
+    from repro.serving import ServingRuntime
+
+    backbone = vgg_tiny(num_classes=6, input_size=64, in_channels=3,
+                        rng=np.random.default_rng(0))
+    network = MimeNetwork(backbone)
+    network.eval()
+    for name in ("alpha", "delta"):
+        network.add_task(name, 4, rng=np.random.default_rng(5))
+    plan = compile_network(network)
+    images = np.random.default_rng(8).normal(size=(rows, 3, 64, 64)).astype(np.float32)
+    row_tasks = [("alpha", "delta")[i % 2] for i in range(rows)]
+    runtime = ServingRuntime(plan, micro_batch=rows, max_wait=10.0, workers=1)
+    pool = WorkspacePool()
+
+    def serve_one_batch():
+        for image in images:
+            runtime.submit("alpha", image)
+        batch = runtime._batcher.next_batch()
+        tracemalloc.start()
+        try:
+            runtime._execute(batch, (0, pool), None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            runtime._batcher.task_done()
+
+    calls = {
+        "run": lambda: plan.run(images, "alpha"),
+        "run_mixed": lambda: plan.run_mixed(images, row_tasks),
+    }
+    for call in calls.values():
+        call()  # warm the thread's default pool
+    serve_one_batch()  # warm the worker's pool
+    peaks = {"serving batch": serve_one_batch()}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    runtime.stop(drain=False)
+    over = {name: peak for name, peak in peaks.items() if peak >= images.nbytes}
+    assert not over, f"{rows}-row warm calls peaked at {over} bytes (images: {images.nbytes})"
+
+
+def test_calibrate_plan_leaves_no_scratch_behind(network, monkeypatch):
+    """Calibration runs on a private pool: its batch-32 scratch is freed.
+
+    Pool slabs are memory mappings, which tracemalloc does not see, so the
+    pools calibration creates are tracked directly; tracemalloc covers
+    everything else it allocates.
+    """
+    import gc
+    import importlib
+    import tracemalloc
+    import weakref
 
     from repro.engine import calibrate_plan
 
+    calibration = importlib.import_module("repro.engine.calibrate")
+    pools, largest = [], [0]
+
+    class TrackedPool(calibration.WorkspacePool):
+        def __init__(self) -> None:
+            super().__init__()
+            pools.append(weakref.ref(self))
+
+        def get(self, label, shape, dtype):
+            view = super().get(label, shape, dtype)
+            largest[0] = max(largest[0], self.nbytes)
+            return view
+
+    monkeypatch.setattr(calibration, "WorkspacePool", TrackedPool)
     plan = compile_network(network, dtype=np.float64)
     gc.collect()
     tracemalloc.start()
@@ -555,9 +646,10 @@ def test_calibrate_plan_leaves_no_scratch_behind(network):
         before, _ = tracemalloc.get_traced_memory()
         profile = calibrate_plan(plan, batch_size=32, seed=0)
         gc.collect()
-        after, peak = tracemalloc.get_traced_memory()
+        after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert profile.tasks() == plan.task_names()
-    assert peak - before > 1 << 20  # the scratch really was that large...
-    assert after - before < 1 << 20  # ...and none of it outlived the call
+    assert pools and largest[0] > 1 << 20  # the scratch really was that large...
+    assert all(pool() is None for pool in pools)  # ...its pool did not outlive the call
+    assert after - before < 1 << 20  # ...and neither did anything else

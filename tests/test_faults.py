@@ -400,11 +400,14 @@ class TestSupervision:
             max_retries=3,
         )
         stream = deterministic_stream(plan, per_task=4, seed=29)
-        futures = [runtime.submit(task, image) for task, image in stream]
         runtime.start()
         try:
+            # Hang the only worker before any request exists: the hang is
+            # then ahead of every batch on its FIFO task queue, so no batch
+            # can execute before the crash.
             injector = FaultInjector(runtime)
             injector.hang(0, 30.0)
+            futures = [runtime.submit(task, image) for task, image in stream]
             wait_until(
                 lambda: runtime._shards[0].inflight > 0,
                 message="dispatched batches on the only shard",

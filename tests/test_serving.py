@@ -19,14 +19,17 @@ import numpy as np
 import pytest
 
 from repro.engine import MultiTaskEngine, SparsityRecorder, compile_network
+from repro.engine.scheduling import get_policy
 from repro.mime import MimeNetwork
 from repro.models import extract_layer_shapes, vgg_tiny
 from repro.serving import (
+    DynamicBatcher,
     LoadGenerator,
     ManualClock,
     QueueFullError,
     RequestCancelledError,
     RuntimeClosedError,
+    ServingRequest,
     ServingResult,
     ServingRuntime,
     ShardedRuntime,
@@ -93,24 +96,78 @@ def test_futures_resolve_with_correct_shapes_and_timestamps(served):
     assert future.start_time <= future.finish_time
 
 
-def test_partial_batch_closes_on_max_wait(served):
+def test_idle_worker_takes_a_lone_request_at_once(served):
     _, _, plan = served
     clock = ManualClock()
-    # One request, micro_batch far larger: only the max-wait timer can close
-    # it.  On the fake clock the batch *cannot* close until time is advanced
-    # past max_wait, and once it executes every timestamp is deterministic.
+    # One request, micro_batch far larger and a max-wait timer that never
+    # expires on the fake clock: only the idle worker can close the batch,
+    # and it must do so before any time passes.
     with ServingRuntime(
-        plan, micro_batch=64, max_wait=0.05, workers=1, clock=clock
+        plan, micro_batch=64, max_wait=10.0, workers=1, clock=clock
     ) as runtime:
         future = runtime.submit("alpha", np.zeros((3, 16, 16)))
-        assert not future.done(), "batch closed although fake time never advanced"
-        clock.advance(0.06)
         future.result(timeout=10.0)
-    assert future.queue_wait == pytest.approx(0.06), (
-        "batch must close exactly when the advanced clock passed max_wait"
-    )
-    assert future.latency == pytest.approx(0.06)
-    assert future.queue_wait >= 0.05, "batch closed before the max-wait deadline"
+    assert future.queue_wait == 0.0, "an idle worker waited on the max-wait timer"
+    assert future.latency == 0.0
+
+
+def _batcher(micro_batch: int, clock: ManualClock) -> DynamicBatcher:
+    return DynamicBatcher(micro_batch, max_wait=0.05, policy=get_policy("fifo-deadline"),
+                          clock=clock)
+
+
+def _request(index: int, task: str, clock: ManualClock) -> ServingRequest:
+    now = clock()
+    return ServingRequest(index, task, np.zeros(1), now, None, ServingResult(index, task, now))
+
+
+def test_batcher_without_idle_closes_a_partial_batch_on_max_wait():
+    clock = ManualClock()
+    batcher = _batcher(64, clock)
+    lone = _request(0, "alpha", clock)
+    batcher.submit(lone)
+    taken = []
+    consumer = threading.Thread(target=lambda: taken.append(batcher.next_batch()))
+    consumer.start()
+    # The consumer re-checks the timer every max_wait real seconds; on the
+    # fake clock the deadline never passes, so it must keep waiting.
+    consumer.join(0.3)
+    assert consumer.is_alive(), "batch closed although fake time never advanced"
+    clock.advance(0.05)
+    consumer.join(10.0)
+    assert not consumer.is_alive()
+    assert taken[0].requests == [lone]
+    assert batcher.pending() == 0
+
+
+def test_idle_consumer_closes_only_the_oldest_open_batch():
+    clock = ManualClock()
+    batcher = _batcher(4, clock)
+    batcher.submit(_request(0, "alpha", clock))
+    clock.advance(0.01)
+    batcher.submit(_request(1, "beta", clock))
+    batcher.submit(_request(2, "gamma", clock))
+    first = batcher.next_batch(idle=True)
+    assert [r.index for r in first.requests] == [0]
+    # The other buckets stay open and keep filling.
+    assert batcher.depth_by_task() == {"beta": 1, "gamma": 1}
+    batcher.submit(_request(3, "beta", clock))
+    second = batcher.next_batch(idle=True)
+    assert [r.index for r in second.requests] == [1, 3]
+    assert [r.index for r in batcher.next_batch(idle=True).requests] == [2]
+
+
+def test_idle_consumer_still_takes_a_ready_full_batch_first():
+    clock = ManualClock()
+    batcher = _batcher(2, clock)
+    batcher.submit(_request(0, "alpha", clock))  # oldest, but open
+    clock.advance(0.01)
+    batcher.submit(_request(1, "beta", clock))
+    batcher.submit(_request(2, "beta", clock))  # closes full
+    full = batcher.next_batch(idle=True)
+    assert [r.index for r in full.requests] == [1, 2]
+    assert batcher.depth_by_task() == {"alpha": 1}
+    assert [r.index for r in batcher.next_batch(idle=True).requests] == [0]
 
 
 # ------------------------------------------------------------ admission -------
@@ -150,6 +207,16 @@ def test_submit_validates_task_and_shape(served):
         runtime.submit("alpha", np.zeros((3, 8, 8)))
     runtime.start()
     runtime.stop()
+
+
+@pytest.mark.parametrize("backend", [ServingRuntime, ShardedRuntime])
+def test_submit_with_swapped_arguments_names_the_order(served, backend):
+    _, _, plan = served
+    runtime = backend(plan, workers=1)  # never started: nothing to spawn
+    with pytest.raises(TypeError, match=r"\(task, image\)"):
+        runtime.submit(np.zeros((3, 16, 16)), "alpha")
+    assert runtime.pending() == 0
+    runtime.stop(drain=False)
 
 
 # ------------------------------------------------------------- lifecycle ------
